@@ -11,10 +11,9 @@ Two report dialects share a home here:
 
       python3 bench/report_tools.py BENCH_PR2.json BENCH_PR3.json ...
 
-* ``rpcg-solve-report/v1`` — the per-solve records the engine emits.
+* ``rpcg-solve-report/v2`` — the per-solve records the engine emits.
   ``load_solve_report`` validates one (file or already-parsed dict),
-  including the optional ``reduction_time`` overlap block of the pipelined
-  solvers.
+  including the ``reduction_time`` overlap block every record carries.
 
 * ``rpcg-pipelined-overhead/v1`` — the depth x latency sweep the
   pipelined_overhead bench emits via --metrics-out (run_all embeds it as
@@ -31,7 +30,7 @@ import json
 import sys
 
 BENCH_SCHEMA = "rpcg-bench-report/v1"
-SOLVE_SCHEMA = "rpcg-solve-report/v1"
+SOLVE_SCHEMA = "rpcg-solve-report/v2"
 PIPELINED_SCHEMA = "rpcg-pipelined-overhead/v1"
 
 
@@ -58,7 +57,7 @@ def load_bench_report(path):
 
 
 def load_solve_report(source):
-    """Validates one rpcg-solve-report/v1 record.
+    """Validates one rpcg-solve-report/v2 record.
 
     `source` is a path or an already-parsed dict (solve reports are usually
     embedded in other documents rather than stored standalone).
@@ -68,10 +67,11 @@ def load_solve_report(source):
         raise ReportError(f"solve report has schema "
                           f"{report.get('schema')!r}, expected {SOLVE_SCHEMA}")
     reductions = report.get("reduction_time")
-    if reductions is not None:
-        for key in ("posted", "hidden", "exposed", "count"):
-            if key not in reductions:
-                raise ReportError(f"reduction_time block lacks '{key}'")
+    if not isinstance(reductions, dict):
+        raise ReportError("solve report has no reduction_time block")
+    for key in ("posted", "hidden", "exposed", "count"):
+        if key not in reductions:
+            raise ReportError(f"reduction_time block lacks '{key}'")
     return report
 
 

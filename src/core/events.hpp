@@ -1,11 +1,10 @@
 // Typed event hooks of the solver engines.
 //
-// Generalizes the original single per-iteration observer callback: a solver
-// accepts a `SolverEvents` bundle and fires the hooks at well-defined points
-// of the run. All hooks are optional (default-constructed std::function is
-// never invoked) and are called on the simulation thread with read-only
-// views of live solver state — the pointed-to vectors are only valid for
-// the duration of the call.
+// A solver accepts a `SolverEvents` bundle and fires the hooks at
+// well-defined points of the run. All hooks are optional
+// (default-constructed std::function is never invoked) and are called on the
+// simulation thread with read-only views of live solver state — the
+// pointed-to vectors are only valid for the duration of the call.
 #pragma once
 
 #include <functional>

@@ -46,7 +46,7 @@
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/redundancy.hpp"
-#include "core/resilient_pcg.hpp"  // ResilientPcgResult, PcgOptions
+#include "core/resilient_pcg.hpp"  // PcgOptions, EsrOptions
 #include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
@@ -93,8 +93,8 @@ class PipelinedPcg {
 
   /// Solves A x = b from the initial guess in x; failures are injected per
   /// schedule at the loop's SpMV, like the blocking engine.
-  [[nodiscard]] ResilientPcgResult solve(const DistVector& b, DistVector& x,
-                                         const FailureSchedule& schedule = {});
+  [[nodiscard]] SolveReport solve(const DistVector& b, DistVector& x,
+                                  const FailureSchedule& schedule = {});
 
   [[nodiscard]] const PipelinedPcgOptions& options() const { return opts_; }
 
@@ -132,13 +132,13 @@ class PipelinedPcg {
 
   /// Depth-1 path (classic one-reduction-in-flight pipelining; the CG branch
   /// is the historic PR 4 loop, bit-for-bit).
-  ResilientPcgResult solve_depth1(const DistVector& b, DistVector& x,
-                                  const FailureSchedule& schedule);
+  SolveReport solve_depth1(const DistVector& b, DistVector& x,
+                           const FailureSchedule& schedule);
 
   /// Depth >= 2 path: Gram-basis reduction ring with coefficient-space
   /// scalar prediction.
-  ResilientPcgResult solve_deep(const DistVector& b, DistVector& x,
-                                const FailureSchedule& schedule);
+  SolveReport solve_deep(const DistVector& b, DistVector& x,
+                         const FailureSchedule& schedule);
 
   Cluster& cluster_;
   const CsrMatrix* a_global_;

@@ -21,13 +21,16 @@
 #include "core/failure_scenario.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/resilient_pcg.hpp"   // RecoveryMethod, EsrOptions
+#include "core/solve_report.hpp"
 #include "engine/problem.hpp"
-#include "engine/solve_report.hpp"
 #include "solver/stationary.hpp"    // StationaryMethod
 #include "util/options.hpp"
 #include "util/thread_pool.hpp"     // ExecutionPolicy
 
 namespace rpcg::engine {
+
+/// The engine API's name for the one result type of every solver family.
+using SolveReport = rpcg::SolveReport;
 
 /// One config for every registered solver family. Fields a family does not
 /// use are ignored (e.g. `omega` outside "stationary"; `recovery` and
@@ -42,7 +45,7 @@ struct SolverConfig {
   /// by the registry adapters: the on_iteration hook checks the cluster
   /// clock after every completed iteration and throws BudgetExceeded
   /// (core/errors.hpp) the first time total simulated time passes the
-  /// deadline (the hook-less reference "pcg" checks once after the run).
+  /// deadline.
   /// Deterministic — the clock is simulated, so the same job misses or
   /// makes its deadline identically on every host and worker count.
   double deadline_sim_seconds = 0.0;
@@ -62,19 +65,12 @@ struct SolverConfig {
   /// live (memory vs disk) and, optionally, explicit per-element/latency
   /// charges overriding the medium defaults (core/checkpoint.hpp).
   CheckpointCostModel checkpoint;
-  /// Embed the resolved checkpoint cost model + interval into the report
-  /// JSON ("checkpoint" block). Opt-in: legacy `rpcg-solve-report/v1`
-  /// output stays byte-identical when unset.
-  bool report_checkpoint = false;
 
   /// Generated failure scenario (core/failure_scenario.hpp). When the
   /// schedule handed to solve() is empty and `scenario.kind` is not kNone,
   /// the resilient families solve against
   /// generate_scenario(scenario, nodes); an explicit schedule always wins.
   FailureScenarioConfig scenario;
-  /// Embed the scenario's kind/seed/event count into the report JSON
-  /// ("scenario" block). Opt-in like `report_checkpoint`.
-  bool report_scenario = false;
 
   /// Stationary family only.
   StationaryMethod stationary_method = StationaryMethod::kJacobi;
@@ -94,31 +90,23 @@ struct SolverConfig {
   /// identical to sequential ones.
   ExecutionPolicy exec;
   /// Reuse ESR factorizations across reconstructions through the Problem's
-  /// FactorizationCache. Purely a host-side wall-clock optimization —
-  /// reports are byte-identical either way.
+  /// FactorizationCache. Purely a host-side wall-clock optimization — the
+  /// simulated charges are identical either way; the report carries the
+  /// cache's counters (factorization_cache block) exactly when it is on.
   bool factorization_cache = true;
-  /// Embed a snapshot of the Problem's FactorizationCache counters
-  /// (hits/misses/invalidated/entries) into the report and its JSON.
-  /// Opt-in, like the pipelined family's reduction block: the legacy
-  /// `rpcg-solve-report/v1` output stays byte-identical when unset. Has no
-  /// effect when `factorization_cache` is false — a solve that bypassed the
-  /// cache reports no block rather than a misleading all-zero one.
-  bool report_cache_stats = false;
 
-  /// Typed event hooks, forwarded to the underlying engine. The reference
-  /// "pcg" solver supports no hooks (it exists as the bit-for-bit baseline).
+  /// Typed event hooks, forwarded to the underlying engine.
   SolverEvents events;
 
   /// Reads --rtol, --max-iterations, --deadline, --recovery, --phi,
   /// --strategy, --strategy-seed, --local-rtol, --checkpoint-interval,
   /// --checkpoint-medium, --checkpoint-write-cost, --checkpoint-read-cost,
-  /// --checkpoint-latency, --report-checkpoint, --scenario,
-  /// --scenario-seed, --scenario-events, --scenario-nodes,
-  /// --scenario-horizon, --scenario-window, --scenario-rate,
-  /// --scenario-shape, --scenario-node-spread, --report-scenario,
+  /// --checkpoint-latency, --scenario, --scenario-seed, --scenario-events,
+  /// --scenario-nodes, --scenario-horizon, --scenario-window,
+  /// --scenario-rate, --scenario-shape, --scenario-node-spread,
   /// --stationary-method, --omega, --pipeline-depth, --exec, --workers,
-  /// --factorization-cache, --report-cache-stats. Unknown enum names throw
-  /// std::invalid_argument listing the valid keys.
+  /// --factorization-cache. Unknown enum names throw std::invalid_argument
+  /// listing the valid keys.
   [[nodiscard]] static SolverConfig from_options(const Options& o);
 };
 

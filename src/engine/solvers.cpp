@@ -3,10 +3,11 @@
 //
 // Each adapter translates SolverConfig into the family's native options,
 // mints a fresh cluster from the Problem, runs the family's engine, and
-// wraps the native result into a SolveReport. Adding a family is one more
-// adapter + one register_solver() line here — nothing else in the repo
-// needs to know about it.
+// stamps the registry-level fields over the engine's SolveReport. Adding a
+// family is one more adapter + one register_solver() line here — nothing
+// else in the repo needs to know about it.
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/checkpoint_recovery.hpp"
@@ -17,7 +18,6 @@
 #include "core/resilient_pcg.hpp"
 #include "core/twin_pcg.hpp"
 #include "engine/registry.hpp"
-#include "solver/pcg.hpp"
 #include "solver/stationary.hpp"
 #include "util/check.hpp"
 
@@ -51,27 +51,6 @@ void wire_esr_cache(EsrOptions& esr, Problem& problem,
   if (esr.cache != nullptr) esr.matrix_key = problem.matrix_key();
 }
 
-/// Snapshot the Problem's cache counters into the report when the config
-/// opts in (solvers that can route ESR setups through the cache only).
-/// A solve that bypassed the cache (factorization_cache = false) gets no
-/// block at all — an all-zero snapshot would read as "cache ran with zero
-/// traffic" instead of "cache was off".
-void attach_cache_stats(SolveReport& rep, Problem& problem,
-                        const SolverConfig& config) {
-  if (!config.report_cache_stats || !config.factorization_cache) return;
-  rep.cache_stats = problem.factorization_cache().stats();
-  rep.report_cache_stats = true;
-}
-
-/// Renders the deadline-miss message once, so the hook-based and post-run
-/// enforcement paths cannot drift apart on wording.
-std::string deadline_message(double deadline, double clock_total,
-                             int iterations) {
-  return "simulated-time deadline exceeded: clock at " +
-         std::to_string(clock_total) + "s > " + std::to_string(deadline) +
-         "s after " + std::to_string(iterations) + " iteration(s)";
-}
-
 /// Layers the config's simulated-time deadline over its event hooks: the
 /// wrapped on_iteration throws BudgetExceeded the first time the cluster
 /// clock passes the deadline. Cooperative — checked between iterations, so
@@ -87,154 +66,126 @@ SolverEvents deadline_events(const SolverConfig& config, Cluster& cluster) {
     if (inner) inner(snap);
     const double total = cluster.clock().total();
     if (total > deadline) {
-      throw BudgetExceeded(deadline_message(deadline, total, snap.iteration));
+      throw BudgetExceeded("simulated-time deadline exceeded: clock at " +
+                           std::to_string(total) + "s > " +
+                           std::to_string(deadline) + "s after " +
+                           std::to_string(snap.iteration) + " iteration(s)");
     }
   };
   return events;
 }
 
-/// Post-run deadline check for the hook-less reference "pcg": same outcome
-/// class as the cooperative path, minus the early abort.
-void enforce_deadline(const SolverConfig& config, const Cluster& cluster,
-                      int iterations) {
-  const double deadline = config.deadline_sim_seconds;
-  if (deadline <= 0.0) return;
-  const double total = cluster.clock().total();
-  if (total > deadline) {
-    throw BudgetExceeded(deadline_message(deadline, total, iterations));
-  }
-}
-
-/// The schedule a resilient solve actually runs: an explicit schedule wins;
-/// otherwise a configured scenario generates one for this cluster size.
-/// `forbid_pair_shift` lets a family overlay its own coverage constraint
-/// (twin-pcg forbids buddy pairs) without the caller knowing it.
-FailureSchedule effective_schedule(const SolverConfig& config,
-                                   const FailureSchedule& schedule,
-                                   int num_nodes, int forbid_pair_shift = 0) {
-  if (!schedule.empty() || config.scenario.kind == ScenarioKind::kNone)
-    return schedule;
-  FailureScenarioConfig scenario = config.scenario;
-  if (forbid_pair_shift > 0) scenario.forbid_pair_shift = forbid_pair_shift;
-  return generate_scenario(scenario, num_nodes);
-}
-
-/// Stamps the scenario block into the report when the config opts in and a
-/// scenario was actually configured (an explicit-schedule solve gets no
-/// block — it would describe events the solve never ran).
-void attach_scenario(SolveReport& rep, const SolverConfig& config,
-                     const FailureSchedule& ran) {
-  if (!config.report_scenario ||
-      config.scenario.kind == ScenarioKind::kNone) {
-    return;
-  }
-  rep.scenario_kind = to_string(config.scenario.kind);
-  rep.scenario_seed = config.scenario.seed;
-  rep.scenario_events = static_cast<int>(ran.events().size());
-  rep.report_scenario = true;
-}
-
-/// The reference (non-resilient) PCG, wrapping the legacy pcg_solve free
-/// function unchanged — it is the bit-for-bit baseline the resilient
-/// engine is tested against, so it must stay exactly that code path.
-class PcgSolver final : public Solver {
- public:
-  explicit PcgSolver(const SolverConfig& config) : config_(config) {}
-
-  [[nodiscard]] std::string name() const override { return "pcg"; }
-
-  [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
-                                  const FailureSchedule& schedule) override {
-    RPCG_CHECK(schedule.empty(),
-               "the reference 'pcg' solver tolerates no failures; use "
-               "'resilient-pcg'");
-    Cluster cluster = make_cluster(problem, config_);
-    PcgOptions opts;
-    opts.rtol = config_.rtol;
-    opts.max_iterations = config_.max_iterations;
-    const PcgResult res = pcg_solve(cluster, problem.matrix(),
-                                    problem.preconditioner(), problem.rhs(), x,
-                                    opts);
-    enforce_deadline(config_, cluster, res.iterations);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.reductions = cluster.reduction_times();
-    return rep;
-  }
-
- private:
-  SolverConfig config_;
+/// The schedule a solve actually runs, and the scenario block describing it
+/// when a scenario generated it.
+struct RunSchedule {
+  FailureSchedule schedule;
+  std::optional<SolveReport::Scenario> scenario;
 };
 
+/// An explicit schedule wins; otherwise a configured scenario generates one
+/// for this cluster size. `forbid_pair_shift` lets a family overlay its own
+/// coverage constraint (twin-pcg forbids buddy pairs) without the caller
+/// knowing it.
+RunSchedule effective_schedule(const SolverConfig& config,
+                               const FailureSchedule& schedule, int num_nodes,
+                               int forbid_pair_shift = 0) {
+  if (!schedule.empty() || config.scenario.kind == ScenarioKind::kNone)
+    return {schedule, std::nullopt};
+  FailureScenarioConfig scenario = config.scenario;
+  if (forbid_pair_shift > 0) scenario.forbid_pair_shift = forbid_pair_shift;
+  FailureSchedule generated = generate_scenario(scenario, num_nodes);
+  const auto events = static_cast<int>(generated.events().size());
+  return {std::move(generated),
+          SolveReport::Scenario{config.scenario.kind, config.scenario.seed,
+                                events}};
+}
+
+/// A failure-free family's schedule: anything non-empty is a config error.
+RunSchedule no_failures(const FailureSchedule& schedule,
+                        const std::string& solver,
+                        const std::string& resilient) {
+  RPCG_CHECK(schedule.empty(), "'" + solver +
+                                   "' tolerates no failures; use '" +
+                                   resilient + "'");
+  return {schedule, std::nullopt};
+}
+
+/// What every adapter stamps over the engine's own report: the registry key,
+/// the preconditioner, the scenario that generated the failures, and the
+/// Problem's cache counters when the solve ran with the cache on.
+SolveReport finish(SolveReport rep, std::string solver, std::string precond,
+                   const RunSchedule& run, Problem& problem,
+                   const SolverConfig& config) {
+  rep.solver = std::move(solver);
+  rep.preconditioner = std::move(precond);
+  rep.scenario = run.scenario;
+  if (config.factorization_cache)
+    rep.cache_stats = problem.factorization_cache().stats();
+  return rep;
+}
+
+/// Blocking PCG (core/resilient_pcg.hpp) under two registry keys. The
+/// reference "pcg" pins phi = 0 / kNone — exactly the non-resilient
+/// iteration — and rejects failure schedules; "resilient-pcg" wires in the
+/// configured recovery method.
 class ResilientPcgSolver final : public Solver {
  public:
-  explicit ResilientPcgSolver(const SolverConfig& config) : config_(config) {}
+  ResilientPcgSolver(const SolverConfig& config, bool resilient)
+      : config_(config), resilient_(resilient) {}
 
-  [[nodiscard]] std::string name() const override { return "resilient-pcg"; }
+  [[nodiscard]] std::string name() const override {
+    return resilient_ ? "resilient-pcg" : "pcg";
+  }
 
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
-        effective_schedule(config_, schedule, cluster.num_nodes());
+    const RunSchedule run =
+        resilient_ ? effective_schedule(config_, schedule, cluster.num_nodes())
+                   : no_failures(schedule, name(), "resilient-pcg");
     ResilientPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
     opts.pcg.max_iterations = config_.max_iterations;
-    opts.method = config_.recovery;
-    opts.phi = config_.phi;
-    opts.strategy = config_.strategy;
-    opts.strategy_seed = config_.strategy_seed;
-    opts.esr = config_.esr;
-    wire_esr_cache(opts.esr, problem, config_);
-    opts.checkpoint_interval = config_.checkpoint_interval;
+    if (resilient_) {
+      opts.method = config_.recovery;
+      opts.phi = config_.phi;
+      opts.strategy = config_.strategy;
+      opts.strategy_seed = config_.strategy_seed;
+      opts.esr = config_.esr;
+      wire_esr_cache(opts.esr, problem, config_);
+      opts.checkpoint_interval = config_.checkpoint_interval;
+    }
     opts.events = deadline_events(config_, cluster);
     ResilientPcg engine(cluster, problem.matrix_global(), problem.matrix(),
                         problem.preconditioner(), opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.redundancy_overhead_per_iteration =
-        engine.redundancy_overhead_per_iteration();
-    rep.reductions = cluster.reduction_times();
-    attach_cache_stats(rep, problem, config_);
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return finish(engine.solve(problem.rhs(), x, run.schedule), name(),
+                  problem.preconditioner_name(), run, problem, config_);
   }
 
  private:
   SolverConfig config_;
+  bool resilient_;
 };
 
 /// Communication-hiding Krylov methods (core/pipelined_pcg.hpp). One engine
 /// serves four registry keys — {CG, CR} x {plain, resilient}: the plain keys
 /// ("pipelined-pcg", "pipelined-cr") pin phi = 0 and reject failure
-/// schedules; the resilient ones wire in the ESR configuration. All opt into
-/// the reduction_time block of the report JSON — overlap accounting is the
-/// point of the pipelined family — and honor config.pipeline_depth.
+/// schedules; the resilient ones wire in the ESR configuration. All honor
+/// config.pipeline_depth.
 class PipelinedSolver final : public Solver {
  public:
   PipelinedSolver(const SolverConfig& config, PipelinedMethod method,
                   bool resilient)
       : config_(config), method_(method), resilient_(resilient) {}
 
-  [[nodiscard]] std::string name() const override {
-    if (method_ == PipelinedMethod::kConjugateGradient)
-      return resilient_ ? "pipelined-resilient-pcg" : "pipelined-pcg";
-    return resilient_ ? "pipelined-resilient-cr" : "pipelined-cr";
-  }
+  [[nodiscard]] std::string name() const override { return key(resilient_); }
 
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
-    if (!resilient_) {
-      RPCG_CHECK(schedule.empty(),
-                 "'" + name() + "' tolerates no failures; use "
-                 "'pipelined-resilient-" +
-                     (method_ == PipelinedMethod::kConjugateGradient ? "pcg"
-                                                                     : "cr") +
-                     "'");
-    }
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    const RunSchedule run =
         resilient_ ? effective_schedule(config_, schedule, cluster.num_nodes())
-                   : schedule;
+                   : no_failures(schedule, name(), key(/*resilient=*/true));
     PipelinedPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
     opts.pcg.max_iterations = config_.max_iterations;
@@ -250,19 +201,17 @@ class PipelinedSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     PipelinedPcg engine(cluster, problem.matrix_global(), problem.matrix(),
                         problem.preconditioner(), opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.redundancy_overhead_per_iteration =
-        engine.redundancy_overhead_per_iteration();
-    rep.reductions = cluster.reduction_times();
-    rep.report_reductions = true;
-    rep.reduction_depth = config_.pipeline_depth;
-    attach_cache_stats(rep, problem, config_);
-    if (resilient_) attach_scenario(rep, config_, sched);
-    return rep;
+    return finish(engine.solve(problem.rhs(), x, run.schedule), name(),
+                  problem.preconditioner_name(), run, problem, config_);
   }
 
  private:
+  [[nodiscard]] std::string key(bool resilient) const {
+    const std::string family =
+        method_ == PipelinedMethod::kConjugateGradient ? "pcg" : "cr";
+    return (resilient ? "pipelined-resilient-" : "pipelined-") + family;
+  }
+
   SolverConfig config_;
   PipelinedMethod method_;
   bool resilient_;
@@ -279,7 +228,7 @@ class BicgstabSolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    const RunSchedule run =
         effective_schedule(config_, schedule, cluster.num_nodes());
     BicgstabOptions opts;
     opts.rtol = config_.rtol;
@@ -292,12 +241,8 @@ class BicgstabSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     ResilientBicgstab engine(cluster, problem.matrix_global(), problem.matrix(),
                              problem.preconditioner(), opts);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(),
-                                  engine.solve(problem.rhs(), x, sched));
-    rep.reductions = cluster.reduction_times();
-    attach_cache_stats(rep, problem, config_);
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return finish(engine.solve(problem.rhs(), x, run.schedule), name(),
+                  problem.preconditioner_name(), run, problem, config_);
   }
 
  private:
@@ -320,7 +265,7 @@ class CheckpointRecoverySolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    const RunSchedule run =
         effective_schedule(config_, schedule, cluster.num_nodes());
     CheckpointRecoveryOptions opts;
     opts.pcg.rtol = config_.rtol;
@@ -331,20 +276,8 @@ class CheckpointRecoverySolver final : public Solver {
     CheckpointRecoveryPcg engine(cluster, problem.matrix_global(),
                                  problem.matrix(), problem.preconditioner(),
                                  opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.reductions = cluster.reduction_times();
-    if (config_.report_checkpoint) {
-      const CheckpointCostModel costs = engine.resolved_costs();
-      rep.checkpoint_medium = to_string(costs.medium);
-      rep.checkpoint_interval = opts.interval;
-      rep.checkpoint_write_per_element_s = costs.write_per_element_s;
-      rep.checkpoint_read_per_element_s = costs.read_per_element_s;
-      rep.checkpoint_latency_s = costs.access_latency_s;
-      rep.report_checkpoint = true;
-    }
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return finish(engine.solve(problem.rhs(), x, run.schedule), name(),
+                  problem.preconditioner_name(), run, problem, config_);
   }
 
  private:
@@ -364,7 +297,7 @@ class TwinPcgSolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched = effective_schedule(
+    const RunSchedule run = effective_schedule(
         config_, schedule, cluster.num_nodes(), cluster.num_nodes() / 2);
     TwinPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
@@ -372,13 +305,8 @@ class TwinPcgSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     TwinPcg engine(cluster, problem.matrix_global(), problem.matrix(),
                    problem.preconditioner(), opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.redundancy_overhead_per_iteration =
-        engine.redundancy_overhead_per_iteration();
-    rep.reductions = cluster.reduction_times();
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return finish(engine.solve(problem.rhs(), x, run.schedule), name(),
+                  problem.preconditioner_name(), run, problem, config_);
   }
 
  private:
@@ -394,7 +322,7 @@ class StationarySolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    const RunSchedule run =
         effective_schedule(config_, schedule, cluster.num_nodes());
     StationaryOptions opts;
     opts.method = config_.stationary_method;
@@ -410,11 +338,8 @@ class StationarySolver final : public Solver {
     // The stationary family ignores the Problem's preconditioner ("none");
     // `solver` stays the registry key per the SolveReport contract, and the
     // method actually swept is the config's stationary_method.
-    SolveReport rep =
-        make_report(name(), "none", engine.solve(problem.rhs(), x, sched));
-    rep.reductions = cluster.reduction_times();
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return finish(engine.solve(problem.rhs(), x, run.schedule), name(), "none",
+                  run, problem, config_);
   }
 
  private:
@@ -446,7 +371,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
       o.get_double("checkpoint-read-cost", c.checkpoint.read_per_element_s);
   c.checkpoint.access_latency_s =
       o.get_double("checkpoint-latency", c.checkpoint.access_latency_s);
-  c.report_checkpoint = o.get_bool("report-checkpoint", c.report_checkpoint);
   c.scenario.kind = o.get_enum<ScenarioKind>("scenario", c.scenario.kind);
   c.scenario.seed = static_cast<std::uint64_t>(
       o.get_int("scenario-seed", static_cast<long>(c.scenario.seed)));
@@ -463,7 +387,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
       o.get_double("scenario-shape", c.scenario.weibull_shape);
   c.scenario.node_rate_spread =
       o.get_double("scenario-node-spread", c.scenario.node_rate_spread);
-  c.report_scenario = o.get_bool("report-scenario", c.report_scenario);
   c.stationary_method =
       o.get_enum<StationaryMethod>("stationary-method", c.stationary_method);
   c.omega = o.get_double("omega", c.omega);
@@ -473,16 +396,15 @@ SolverConfig SolverConfig::from_options(const Options& o) {
   c.exec.workers = static_cast<int>(o.get_int("workers", c.exec.workers));
   c.factorization_cache =
       o.get_bool("factorization-cache", c.factorization_cache);
-  c.report_cache_stats = o.get_bool("report-cache-stats", c.report_cache_stats);
   return c;
 }
 
 void register_builtin_solvers(SolverRegistry& registry) {
   registry.register_solver("pcg", [](const SolverConfig& c) {
-    return std::make_unique<PcgSolver>(c);
+    return std::make_unique<ResilientPcgSolver>(c, /*resilient=*/false);
   });
   registry.register_solver("resilient-pcg", [](const SolverConfig& c) {
-    return std::make_unique<ResilientPcgSolver>(c);
+    return std::make_unique<ResilientPcgSolver>(c, /*resilient=*/true);
   });
   registry.register_solver("pipelined-pcg", [](const SolverConfig& c) {
     return std::make_unique<PipelinedSolver>(

@@ -14,7 +14,6 @@
 
 #include "core/resilient_pcg.hpp"
 #include "engine/problem.hpp"
-#include "engine/solve_report.hpp"
 #include "engine/solver.hpp"
 #include "repro/matrices.hpp"
 #include "util/enum_names.hpp"

@@ -31,7 +31,6 @@ struct RunContext {
   const RetryPolicy* default_retry = nullptr;
   double default_deadline = 0.0;
   const FaultInjector* injector = nullptr;  ///< null when injection is off
-  bool robust = false;  ///< record attempts + emit /v2 (batch-wide)
   std::chrono::steady_clock::time_point t0;
   double wall_timeout = 0.0;
 };
@@ -118,7 +117,6 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
   result.matrix_id = spec.matrix_id();
   result.solver = spec.solver;
   result.precond = spec.precond;
-  result.robust = ctx.robust;
 
   const auto t0 = std::chrono::steady_clock::now();
   if (ctx.wall_timeout > 0.0 && seconds_since(ctx.t0) > ctx.wall_timeout) {
@@ -148,7 +146,7 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
       run_attempt(spec, index, attempt, policy, deadline, classify_budget,
                   shared, ctx.injector, result, rec);
       result.error.clear();
-      if (ctx.robust) result.attempts.push_back(std::move(rec));
+      result.attempts.push_back(std::move(rec));
       break;
     } catch (const std::exception& e) {
       rec.ok = false;
@@ -157,7 +155,7 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
       result.error = rec.error;
       result.error_class = rec.error_class;
       const bool retryable = is_retryable(rec.error_class);
-      if (ctx.robust) result.attempts.push_back(std::move(rec));
+      result.attempts.push_back(std::move(rec));
       if (!retryable) break;
     }
   }
@@ -190,22 +188,11 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
   SharedFactorizationCache* shared_ptr =
       options_.shared_cache ? &shared : nullptr;
 
-  bool robust = options_.retry.enabled() ||
-                options_.default_deadline_sim_seconds > 0.0 ||
-                options_.wall_timeout_seconds > 0.0 ||
-                options_.fault_injection.enabled;
-  for (const JobSpec& job : jobs) {
-    robust = robust || job.retry.enabled() ||
-             job.config.deadline_sim_seconds > 0.0;
-  }
-  summary.robust = robust;
-
   const FaultInjector injector(options_.fault_injection);
   RunContext ctx;
   ctx.default_retry = &options_.retry;
   ctx.default_deadline = options_.default_deadline_sim_seconds;
   ctx.injector = options_.fault_injection.enabled ? &injector : nullptr;
-  ctx.robust = robust;
   ctx.wall_timeout = options_.wall_timeout_seconds;
 
   // One mutex covers result storage, the in-flight bound, and the sink —
@@ -332,10 +319,10 @@ std::string JobResult::to_json(int indent) const {
   w.field("status", json_quote(ok() ? "ok" : "error"));
   if (!ok()) {
     w.field("error", json_quote(error));
-    if (robust) w.field("error_class", json_quote(rpcg::to_string(error_class)));
+    w.field("error_class", json_quote(rpcg::to_string(error_class)));
   }
   w.field("wall_seconds", json_double(wall_seconds));
-  const bool emit_attempts = robust && !attempts.empty();
+  const bool emit_attempts = !attempts.empty();
   w.open_field("problem_cache", "{");
   w.field("hits", std::to_string(problem_cache.hits));
   w.field("misses", std::to_string(problem_cache.misses));
@@ -359,20 +346,17 @@ std::string JobResult::to_json(int indent) const {
 std::string ServiceReport::to_json(int indent) const {
   JsonWriter w(indent);
   w.open();
-  w.field("schema", json_quote(robust ? "rpcg-service-report/v2"
-                                      : "rpcg-service-report/v1"));
+  w.field("schema", json_quote("rpcg-service-report/v2"));
   w.field("workers", std::to_string(workers));
   w.field("order", json_quote(service::to_string(order)));
   w.field("shared_cache", json_bool(shared_cache));
   w.open_field("summary", "{");
   w.field("jobs", std::to_string(jobs.size()));
   w.field("failed", std::to_string(failed));
-  if (robust) {
-    w.field("retries", std::to_string(retries));
-    w.field("escalations", std::to_string(escalations));
-    w.field("degraded", std::to_string(degraded));
-    w.field("deadline_misses", std::to_string(deadline_misses));
-  }
+  w.field("retries", std::to_string(retries));
+  w.field("escalations", std::to_string(escalations));
+  w.field("degraded", std::to_string(degraded));
+  w.field("deadline_misses", std::to_string(deadline_misses));
   w.field("total_factorizations", std::to_string(total_factorizations));
   w.field("wall_seconds", json_double(wall_seconds));
   w.field("jobs_per_second", json_double(jobs_per_second), shared_cache);

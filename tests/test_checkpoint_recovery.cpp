@@ -42,7 +42,7 @@ struct Fixture {
     b.set_global(bg);
   }
 
-  ResilientPcgResult run(const CheckpointRecoveryOptions& opts,
+  SolveReport run(const CheckpointRecoveryOptions& opts,
                          const FailureSchedule& schedule,
                          std::vector<double>& solution) const {
     Cluster cluster(part, CommParams{});
@@ -88,7 +88,7 @@ TEST(CheckpointRecovery, FailureFreeMatchesPlainPcgBitForBit) {
   DistVector x(fx.part);
   PcgOptions popts;
   popts.rtol = 1e-9;
-  const PcgResult ref = pcg_solve(cluster, fx.dist, *fx.m, fx.b, x, popts);
+  const SolveReport ref = pcg_solve(cluster, fx.dist, *fx.m, fx.b, x, popts);
   ASSERT_TRUE(ref.converged);
   EXPECT_EQ(res.iterations, ref.iterations);
   EXPECT_EQ(res.rel_residual, ref.rel_residual);

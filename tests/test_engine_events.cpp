@@ -1,9 +1,10 @@
 // The typed event-hook API: on_iteration / on_failure_injected /
 // on_recovery_complete / on_checkpoint fire at the documented points, for
-// every engine family, and the legacy single `observer` callback keeps
-// working alongside them.
+// every engine family — the reference "pcg" key included, whose deadline is
+// enforced through the same hook.
 #include <gtest/gtest.h>
 
+#include "core/errors.hpp"
 #include "core/resilient_pcg.hpp"
 #include "engine/registry.hpp"
 #include "sparse/generators.hpp"
@@ -118,29 +119,41 @@ TEST(SolverEvents, HooksFireForBicgstabAndStationary) {
   }
 }
 
-TEST(SolverEvents, LegacyObserverStillWorksAlongsideHooks) {
-  const CsrMatrix a = poisson2d_5pt(12, 12);
-  const Partition part = Partition::block_rows(a.rows(), 6);
-  Cluster cluster(part, CommParams{});
-  DistVector b(part);
-  {
-    std::vector<double> ones(static_cast<std::size_t>(a.rows()), 1.0);
-    std::vector<double> bg(static_cast<std::size_t>(a.rows()));
-    a.spmv(ones, bg);
-    b.set_global(bg);
-  }
-  const auto m = make_preconditioner("bjacobi", a, part);
-  ResilientPcgOptions opts;
-  int observer_calls = 0;
-  int hook_calls = 0;
-  opts.observer = [&](const IterationSnapshot&) { ++observer_calls; };
-  opts.events.on_iteration = [&](const IterationSnapshot&) { ++hook_calls; };
-  ResilientPcg solver(cluster, a, *m, opts);
-  DistVector x(part);
-  const auto res = solver.solve(b, x, {});
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(observer_calls, res.iterations);
-  EXPECT_EQ(hook_calls, res.iterations);
+TEST(SolverEvents, ReferencePcgFiresIterationHook) {
+  engine::Problem problem = small_poisson();
+  engine::SolverConfig c;
+  int calls = 0;
+  c.events.on_iteration = [&](const IterationSnapshot& snap) {
+    ++calls;
+    EXPECT_EQ(snap.iteration, calls);
+  };
+  DistVector x = problem.make_x();
+  const auto rep =
+      engine::SolverRegistry::instance().create("pcg", c)->solve(problem, x);
+  EXPECT_TRUE(rep.converged);
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(calls, rep.iterations);
+}
+
+TEST(SolverEvents, ReferencePcgDeadlineAbortsMidSolve) {
+  engine::Problem problem = small_poisson();
+  engine::SolverConfig c;
+  DistVector x = problem.make_x();
+  const auto full =
+      engine::SolverRegistry::instance().create("pcg", c)->solve(problem, x);
+  ASSERT_TRUE(full.converged);
+  ASSERT_GT(full.iterations, 4);
+
+  // Half the full solve's simulated time: the cooperative hook must stop the
+  // run between iterations, long before the last one.
+  c.deadline_sim_seconds = 0.5 * full.sim_time;
+  int calls = 0;
+  c.events.on_iteration = [&](const IterationSnapshot&) { ++calls; };
+  x = problem.make_x();
+  const auto solver = engine::SolverRegistry::instance().create("pcg", c);
+  EXPECT_THROW((void)solver->solve(problem, x), BudgetExceeded);
+  EXPECT_GT(calls, 0);
+  EXPECT_LT(calls, full.iterations);
 }
 
 }  // namespace

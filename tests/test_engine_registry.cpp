@@ -119,7 +119,7 @@ TEST(SolverRegistry, PcgMatchesLegacyPcgSolveBitForBit) {
   PcgOptions legacy;
   legacy.rtol = c.rtol;
   DistVector x_legacy = problem.make_x();
-  const PcgResult res =
+  const SolveReport res =
       pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
                 problem.rhs(), x_legacy, legacy);
 

@@ -354,6 +354,7 @@ TEST_P(CachedVsUncached, IdenticalReportsAndIterates) {
     for (int rep = 0; rep < 2; ++rep) {
       engine::SolveReport report = solve(problem, cfg, schedule, x);
       report.wall_seconds = 0.0;  // the only nondeterministic field
+      report.cache_stats.reset();  // describes the cache, not the solve
       json += report.to_json();
     }
     solution = x.gather_global();
@@ -398,6 +399,7 @@ TEST(FactorizationCache, CachedVsUncachedIdentityWithAmdSupernodalKernels) {
     for (int rep = 0; rep < 2; ++rep) {
       engine::SolveReport report = solve(problem, cfg, schedule, x);
       report.wall_seconds = 0.0;
+      report.cache_stats.reset();
       json += report.to_json();
     }
     solution = x.gather_global();
@@ -412,23 +414,23 @@ TEST(FactorizationCache, CachedVsUncachedIdentityWithAmdSupernodalKernels) {
     ASSERT_EQ(cached_x[i], uncached_x[i]) << "entry " << i;
 }
 
-TEST(FactorizationCache, ReportCacheStatsFlagEmbedsSnapshot) {
+TEST(FactorizationCache, CacheBlockPresentExactlyWhenTheCacheIsOn) {
   engine::Problem problem = make_problem();
   engine::SolverConfig cfg = esr_config(2, true);
   const FailureSchedule schedule = schedule_at(2, {1, 3});
   DistVector x;
 
-  // Off by default: the JSON has no factorization_cache block.
+  // Cache on: every report snapshots the Problem's counters.
   engine::SolveReport rep = solve(problem, cfg, schedule, x);
-  EXPECT_FALSE(rep.report_cache_stats);
-  EXPECT_EQ(rep.to_json().find("factorization_cache"), std::string::npos);
+  ASSERT_TRUE(rep.cache_stats.has_value());
+  EXPECT_EQ(rep.cache_stats->misses, 1u);
+  EXPECT_EQ(rep.cache_stats->hits, 0u);
 
-  cfg.report_cache_stats = true;
   rep = solve(problem, cfg, schedule, x);
-  EXPECT_TRUE(rep.report_cache_stats);
+  ASSERT_TRUE(rep.cache_stats.has_value());
   // Second solve of the same schedule: the first one's miss is now a hit.
-  EXPECT_EQ(rep.cache_stats.misses, 1u);
-  EXPECT_EQ(rep.cache_stats.hits, 1u);
+  EXPECT_EQ(rep.cache_stats->misses, 1u);
+  EXPECT_EQ(rep.cache_stats->hits, 1u);
   EXPECT_NE(rep.to_json().find("\"factorization_cache\": {"),
             std::string::npos);
   EXPECT_NE(rep.to_json().find("\"hits\": 1"), std::string::npos);
@@ -437,7 +439,7 @@ TEST(FactorizationCache, ReportCacheStatsFlagEmbedsSnapshot) {
   // would read as "zero traffic", not "cache off".
   cfg.factorization_cache = false;
   rep = solve(problem, cfg, schedule, x);
-  EXPECT_FALSE(rep.report_cache_stats);
+  EXPECT_FALSE(rep.cache_stats.has_value());
   EXPECT_EQ(rep.to_json().find("factorization_cache"), std::string::npos);
 }
 

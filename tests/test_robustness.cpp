@@ -216,10 +216,15 @@ TEST(Classification, UncoverableFailuresSurfaceTypedThroughTheService) {
     EXPECT_EQ(job.error_class, ErrorClass::kUnrecoverableFailure) << job.name;
     EXPECT_FALSE(job.error.empty()) << job.name;
   }
-  // Robustness off: the report stays on the v1 schema, no attempts blocks.
-  EXPECT_FALSE(run.robust);
-  EXPECT_NE(run.to_json().find("rpcg-service-report/v1"), std::string::npos);
-  EXPECT_EQ(run.to_json().find("\"attempts\""), std::string::npos);
+  // No robustness knob set: every job still records its one attempt and the
+  // class of its failure.
+  for (const JobResult& job : run.jobs) {
+    ASSERT_EQ(job.attempts.size(), 1u) << job.name;
+    EXPECT_EQ(job.attempts[0].error_class, ErrorClass::kUnrecoverableFailure)
+        << job.name;
+  }
+  EXPECT_NE(run.to_json().find("\"error_class\": \"unrecoverable-failure\""),
+            std::string::npos);
 }
 
 TEST(Classification, InvalidJobIsNotRetried) {
@@ -240,15 +245,14 @@ TEST(Classification, InvalidJobIsNotRetried) {
 
 TEST(Budgets, SimulatedDeadlineClassifiesBudgetExceeded) {
   // A deadline no solve can meet: the hook throws on the first completed
-  // iteration (resilient-pcg) / the post-run check fires (hook-less pcg).
+  // iteration, for the reference pcg key as for resilient-pcg.
   const std::vector<JobSpec> jobs = parse_jobs(
       R"({"name": "hooked", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "deadline": 1e-12}
-{"name": "hookless", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi", "deadline": 1e-12}
+{"name": "reference", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi", "deadline": 1e-12}
 {"name": "generous", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "deadline": 1e9})");
   ServiceOptions opts;
   opts.workers = 2;
   const ServiceReport run = SolverService(opts).run(jobs);
-  EXPECT_TRUE(run.robust);  // a per-job deadline upgrades the batch
   EXPECT_EQ(run.failed, 2u);
   EXPECT_EQ(run.jobs[0].error_class, ErrorClass::kBudgetExceeded);
   EXPECT_EQ(run.jobs[1].error_class, ErrorClass::kBudgetExceeded);
@@ -284,7 +288,7 @@ TEST(Budgets, IterationCapUnderRetryPolicyIsClassified) {
   ServiceOptions plain;
   plain.workers = 1;
   const ServiceReport status_quo = SolverService(plain).run(jobs);
-  EXPECT_EQ(status_quo.failed, 0u);  // unchanged for non-robust batches
+  EXPECT_EQ(status_quo.failed, 0u);  // no policy: still an ok report
   EXPECT_FALSE(status_quo.jobs[0].report.converged);
 
   jobs[0].retry.max_attempts = 2;
@@ -328,7 +332,6 @@ TEST(Retry, BuddyPairLossEscalatesToCheckpointRecovery) {
   opts.workers = 2;
   const ServiceReport run = SolverService(opts).run(jobs);
   EXPECT_EQ(run.failed, 0u);
-  EXPECT_TRUE(run.robust);
   for (const JobResult& job : run.jobs) {
     EXPECT_TRUE(job.ok()) << job.name;
     EXPECT_EQ(job.solver, "twin-pcg");  // the *requested* solver
@@ -596,25 +599,32 @@ TEST(ReportSchema, V2CarriesCountersAndAttemptBlocks) {
   EXPECT_EQ(attempts->as_array().back().find("status")->as_string(), "ok");
 }
 
-TEST(ReportSchema, V1SummaryHasNoRobustnessKeys) {
+TEST(ReportSchema, PlainBatchCarriesCountersAndAttempts) {
   const std::vector<JobSpec> jobs = parse_jobs(
       R"({"name": "plain", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi"})");
   ServiceOptions opts;
   opts.workers = 1;
   const ServiceReport run = SolverService(opts).run(jobs);
-  const std::string json = run.to_json();
-  EXPECT_NE(json.find("rpcg-service-report/v1"), std::string::npos);
-  for (const char* key : {"\"retries\"", "\"escalations\"", "\"degraded\"",
-                          "\"deadline_misses\"", "\"attempts\"",
-                          "\"error_class\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
+  const JsonValue parsed = JsonValue::parse(run.to_json());
+  EXPECT_EQ(parsed.find("schema")->as_string(), "rpcg-service-report/v2");
+  const JsonValue* summary = parsed.find("summary");
+  ASSERT_NE(summary, nullptr);
+  for (const char* key : {"retries", "escalations", "degraded",
+                          "deadline_misses"}) {
+    ASSERT_NE(summary->find(key), nullptr) << key;
+    EXPECT_DOUBLE_EQ(summary->find(key)->as_number(), 0.0) << key;
   }
+  const JsonValue* attempts =
+      parsed.find("jobs")->as_array().front().find("attempts");
+  ASSERT_NE(attempts, nullptr);
+  ASSERT_EQ(attempts->as_array().size(), 1u);
+  EXPECT_EQ(attempts->as_array().front().find("status")->as_string(), "ok");
 }
 
-TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
-  // Locked against the pre-taxonomy service: with every robustness feature
-  // off, the normalized report must stay byte-identical to this literal
-  // (generated from the seed revision). Any diff here is a v1 schema break.
+TEST(ReportSchema, V2GoldenByteStable) {
+  // Values generated from the last v1 revision with every report block
+  // switched on (the v2 layout); any diff here is a v2 schema break or a
+  // change in what the solves compute.
   const std::vector<JobSpec> jobs = parse_jobs(
       R"({"name": "gold-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 3, "first": 1, "psi": 2}]}
 {"name": "gold-b", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi"})");
@@ -628,13 +638,17 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
     job.report.wall_seconds = 0.0;
   }
   const std::string golden = R"golden({
-  "schema": "rpcg-service-report/v1",
+  "schema": "rpcg-service-report/v2",
   "workers": 2,
   "order": "submission",
   "shared_cache": true,
   "summary": {
     "jobs": 2,
     "failed": 0,
+    "retries": 0,
+    "escalations": 0,
+    "degraded": 0,
+    "deadline_misses": 0,
     "total_factorizations": 1,
     "wall_seconds": 0,
     "jobs_per_second": 0,
@@ -660,8 +674,19 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         "invalidated": 0,
         "entries": 1
       },
+      "attempts": [
+        {
+          "attempt": 1,
+          "solver": "resilient-pcg",
+          "scenario_seed": 0,
+          "backoff_sim_seconds": 0,
+          "status": "ok",
+          "iterations": 81,
+          "sim_time": 0.0038294193999999972
+        }
+      ],
       "report": {
-        "schema": "rpcg-solve-report/v1",
+        "schema": "rpcg-solve-report/v2",
         "solver": "resilient-pcg",
         "preconditioner": "bjacobi",
         "converged": true,
@@ -679,6 +704,20 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         },
         "wall_seconds": 0,
         "redundancy_overhead_per_iteration": 3.4056e-06,
+        "reduction_time": {
+          "posted": 0.0014681759999999994,
+          "hidden": 0,
+          "exposed": 0.0014681759999999994,
+          "count": 163,
+          "depth": 1,
+          "max_in_flight": 1
+        },
+        "factorization_cache": {
+          "hits": 0,
+          "misses": 1,
+          "invalidated": 0,
+          "entries": 1
+        },
         "checkpoints_written": 0,
         "rolled_back_iterations": 0,
         "recoveries": [
@@ -700,8 +739,19 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         "invalidated": 0,
         "entries": 0
       },
+      "attempts": [
+        {
+          "attempt": 1,
+          "solver": "pcg",
+          "scenario_seed": 0,
+          "backoff_sim_seconds": 0,
+          "status": "ok",
+          "iterations": 26,
+          "sim_time": 0.0008439087000000012
+        }
+      ],
       "report": {
-        "schema": "rpcg-solve-report/v1",
+        "schema": "rpcg-solve-report/v2",
         "solver": "pcg",
         "preconditioner": "jacobi",
         "converged": true,
@@ -719,6 +769,20 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         },
         "wall_seconds": 0,
         "redundancy_overhead_per_iteration": 0,
+        "reduction_time": {
+          "posted": 0.00047738400000000046,
+          "hidden": 0,
+          "exposed": 0.00047738400000000046,
+          "count": 53,
+          "depth": 1,
+          "max_in_flight": 1
+        },
+        "factorization_cache": {
+          "hits": 0,
+          "misses": 0,
+          "invalidated": 0,
+          "entries": 0
+        },
         "checkpoints_written": 0,
         "rolled_back_iterations": 0,
         "recoveries": [

@@ -108,6 +108,17 @@ TEST(JobParsing, UnknownKeyListsValidKeys) {
   }
 }
 
+TEST(JobParsing, ReportBlockKeysAreNotJobKeys) {
+  // Report blocks follow from what a solve ran; no key switches them.
+  for (const char* key :
+       {"report-cache-stats", "report-checkpoint", "report-scenario"}) {
+    EXPECT_THROW((void)rpcg::service::parse_job(JsonValue::parse(
+                     std::string("{\"") + key + "\": true}")),
+                 std::invalid_argument)
+        << key;
+  }
+}
+
 TEST(JobParsing, FailureEventShapesAreExclusive) {
   EXPECT_THROW((void)rpcg::service::parse_job(JsonValue::parse(
                    R"({"failures": [{"iteration": 3, "psi": 2,
@@ -122,15 +133,13 @@ TEST(JobParsing, ScenarioKeysForwardToTheGeneratorConfig) {
   const JobSpec job = rpcg::service::parse_job(JsonValue::parse(
       R"({"solver": "checkpoint-recovery", "scenario": "cascading",
           "scenario-seed": 7, "scenario-events": 4, "scenario-nodes": 2,
-          "scenario-horizon": 20, "scenario-window": 5,
-          "report-scenario": true})"));
+          "scenario-horizon": 20, "scenario-window": 5})"));
   EXPECT_EQ(job.config.scenario.kind, rpcg::ScenarioKind::kCascading);
   EXPECT_EQ(job.config.scenario.seed, 7u);
   EXPECT_EQ(job.config.scenario.events, 4);
   EXPECT_EQ(job.config.scenario.max_nodes_per_event, 2);
   EXPECT_EQ(job.config.scenario.horizon, 20);
   EXPECT_EQ(job.config.scenario.window, 5);
-  EXPECT_TRUE(job.config.report_scenario);
   // The generator expands at solve time; the parsed spec stays data-only.
   EXPECT_TRUE(job.schedule.events().empty());
 }
@@ -302,7 +311,7 @@ std::vector<JobSpec> mixed_batch() {
 {"name": "pipe", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pipelined-resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 5, "nodes": [4, 5]}]}
 {"name": "esr-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 3, "first": 1, "psi": 2}]}
 {"name": "threaded", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "bjacobi", "exec": "threaded", "workers": 2}
-{"name": "report-stats", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "report-cache-stats": true, "failures": [{"iteration": 4, "first": 3, "psi": 1}]})");
+{"name": "report-stats", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 4, "first": 3, "psi": 1}]})");
   return rpcg::service::parse_job_lines(in);
 }
 
@@ -400,7 +409,7 @@ TEST(SolverService, FailedJobDoesNotAbortBatchAndReportParses) {
   // The emitted service report is valid JSON (parsed by our own parser) and
   // carries the failure through the summary.
   const JsonValue parsed = JsonValue::parse(run.to_json());
-  EXPECT_EQ(parsed.find("schema")->as_string(), "rpcg-service-report/v1");
+  EXPECT_EQ(parsed.find("schema")->as_string(), "rpcg-service-report/v2");
   const JsonValue* summary = parsed.find("summary");
   ASSERT_NE(summary, nullptr);
   EXPECT_DOUBLE_EQ(summary->find("failed")->as_number(), 1.0);
@@ -419,8 +428,8 @@ TEST(SolverService, DefaultJobNamesUseSubmissionIndex) {
 /// explicit schedule, covering all four new strategy/scenario pairings
 /// through the service front end. Two jobs are byte-identical on purpose.
 std::vector<JobSpec> scenario_batch() {
-  std::istringstream in(R"({"name": "ckpt-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "report-scenario": true}
-{"name": "ckpt-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "report-scenario": true}
+  std::istringstream in(R"({"name": "ckpt-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
+{"name": "ckpt-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
 {"name": "twin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "twin-pcg", "scenario": "correlated", "scenario-seed": 9, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
 {"name": "esr", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 3, "scenario": "cascading", "scenario-seed": 11, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "scenario-window": 3})");
   return rpcg::service::parse_job_lines(in);
@@ -441,11 +450,11 @@ TEST(SolverService, ScenarioJobsRunDeterministicallyAcrossWorkers) {
     a.wall_seconds = b.wall_seconds = 0.0;
     EXPECT_EQ(a.to_json(), b.to_json());
   }
-  // The opted-in scenario block lands in the job's report JSON.
+  // Every generated schedule is described by a scenario block.
   EXPECT_NE(ref.jobs[0].report.to_json().find("\"kind\": \"during-recovery\""),
             std::string::npos);
-  EXPECT_EQ(ref.jobs[3].report.to_json().find("\"scenario\""),
-            std::string::npos);  // not opted in
+  EXPECT_NE(ref.jobs[3].report.to_json().find("\"kind\": \"cascading\""),
+            std::string::npos);
 
   const std::vector<std::string> ref_reports = normalized_job_reports(ref);
   for (const int workers : {2, 8}) {

@@ -43,7 +43,7 @@ struct Fixture {
     b.set_global(bg);
   }
 
-  ResilientPcgResult run(const FailureSchedule& schedule,
+  SolveReport run(const FailureSchedule& schedule,
                          std::vector<double>& solution) const {
     Cluster cluster(part, CommParams{});
     TwinPcgOptions opts;
