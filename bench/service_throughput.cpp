@@ -12,6 +12,11 @@
 //   batched   --service-workers, cache on   (the service as shipped)
 //   nocache   --service-workers, cache off  (isolates the cache's share)
 //
+// Each leg also prints its problem_setups: the matrix, distribution and
+// preconditioner set-ups the service built. The shared-cache switch shares
+// them too, so the batched leg builds one per matrix while the cache-off
+// legs build one per job.
+//
 // The bench self-gates: batched must beat serial on jobs/s AND build
 // strictly fewer factorizations than nocache, else the exit code is 1.
 // With --metrics-out=FILE the numbers are written as compact JSON for
@@ -93,6 +98,7 @@ struct RunStats {
   double wall_seconds = 0.0;
   double jobs_per_second = 0.0;
   std::uint64_t factorizations = 0;
+  std::uint64_t problem_setups = 0;
   std::size_t failed = 0;
 };
 
@@ -106,14 +112,17 @@ RunStats run_config(const std::vector<JobSpec>& jobs, int workers,
   s.wall_seconds = report.wall_seconds;
   s.jobs_per_second = report.jobs_per_second;
   s.factorizations = report.total_factorizations;
+  s.problem_setups = report.problem_setups;
   s.failed = report.failed;
   return s;
 }
 
 void print_stats(const char* label, const RunStats& s) {
-  std::printf("%-26s wall=%9.4fs  jobs/s=%8.2f  factorizations=%llu%s\n",
+  std::printf("%-26s wall=%9.4fs  jobs/s=%8.2f  factorizations=%llu  "
+              "problem_setups=%llu%s\n",
               label, s.wall_seconds, s.jobs_per_second,
               static_cast<unsigned long long>(s.factorizations),
+              static_cast<unsigned long long>(s.problem_setups),
               s.failed == 0 ? "" : "  FAILED JOBS");
 }
 

@@ -61,7 +61,7 @@ std::vector<double> read_rhs_file(const std::string& path) {
 }  // namespace
 
 Cluster Problem::make_cluster() const {
-  Cluster cluster(partition_, comm_);
+  Cluster cluster(*partition_, comm_);
   if (noise_cv_ > 0.0) cluster.set_clock_noise(noise_cv_, noise_seed_);
   cluster.set_execution_policy(exec_);
   return cluster;
@@ -108,8 +108,9 @@ ProblemBuilder& ProblemBuilder::preconditioner(
   return *this;
 }
 
-ProblemBuilder& ProblemBuilder::borrow_preconditioner(const Preconditioner& m) {
-  precond_name_ = m.name();
+ProblemBuilder& ProblemBuilder::borrow_preconditioner(const Preconditioner& m,
+                                                      std::string name) {
+  precond_name_ = name.empty() ? m.name() : std::move(name);
   precond_ = MaybeOwned<Preconditioner>::borrowed(m);
   return *this;
 }
@@ -214,13 +215,14 @@ Problem ProblemBuilder::build() {
   p.a_global_ = std::move(a_global_);
 
   if (borrowed_dist_ != nullptr) {
-    p.partition_ = borrowed_dist_->partition();
+    p.partition_ = MaybeOwned<Partition>::borrowed(borrowed_dist_->partition());
     p.a_dist_ = MaybeOwned<DistMatrix>::borrowed(*borrowed_dist_);
   } else {
-    p.partition_ =
-        have_partition_ ? partition_ : Partition::block_rows(a.rows(), nodes_);
+    p.partition_ = MaybeOwned<Partition>::owned(
+        have_partition_ ? Partition(partition_)
+                        : Partition::block_rows(a.rows(), nodes_));
     p.a_dist_ =
-        MaybeOwned<DistMatrix>::owned(DistMatrix::distribute(a, p.partition_));
+        MaybeOwned<DistMatrix>::owned(DistMatrix::distribute(a, *p.partition_));
   }
 
   if (precond_) {
@@ -228,7 +230,7 @@ Problem ProblemBuilder::build() {
   } else {
     p.m_ = MaybeOwned<Preconditioner>::owned(
         PreconditionerRegistry::instance().create(precond_name_, a,
-                                                  p.partition_));
+                                                  *p.partition_));
   }
   p.precond_name_ = precond_name_;
 
@@ -264,7 +266,7 @@ Problem ProblemBuilder::build() {
     b_global.resize(n);
     a.spmv(x_true, b_global);
   }
-  p.b_ = DistVector(p.partition_);
+  p.b_ = DistVector(*p.partition_);
   p.b_.set_global(b_global);
 
   p.comm_ = comm_;

@@ -42,7 +42,7 @@ class Problem {
  public:
   [[nodiscard]] const CsrMatrix& matrix_global() const { return *a_global_; }
   [[nodiscard]] const DistMatrix& matrix() const { return *a_dist_; }
-  [[nodiscard]] const Partition& partition() const { return partition_; }
+  [[nodiscard]] const Partition& partition() const { return *partition_; }
   [[nodiscard]] const Preconditioner& preconditioner() const { return *m_; }
   [[nodiscard]] const std::string& preconditioner_name() const {
     return precond_name_;
@@ -89,8 +89,12 @@ class Problem {
   [[nodiscard]] Cluster make_cluster() const;
 
   /// Zero initial guess over the problem's partition.
-  [[nodiscard]] DistVector make_x() const { return DistVector(partition_); }
+  [[nodiscard]] DistVector make_x() const { return DistVector(*partition_); }
 
+  // Sound because every component that other components point into lives at
+  // a stable address: the distributed matrix, the preconditioner and the
+  // RHS keep pointers to the partition, which is heap-held (or borrowed),
+  // so a moved Problem never points into its moved-from source.
   Problem(Problem&&) noexcept = default;
   Problem& operator=(Problem&&) noexcept = default;
 
@@ -99,7 +103,7 @@ class Problem {
   Problem() = default;
 
   MaybeOwned<CsrMatrix> a_global_;
-  Partition partition_;
+  MaybeOwned<Partition> partition_;
   MaybeOwned<DistMatrix> a_dist_;
   MaybeOwned<Preconditioner> m_;
   std::string precond_name_;
@@ -132,14 +136,19 @@ class ProblemBuilder {
   ProblemBuilder& partition(Partition p);
 
   /// Borrows an already-distributed matrix, reusing its scatter plan across
-  /// Problems (the partition is taken from it).
+  /// Problems (its partition is borrowed too).
   ProblemBuilder& borrow_dist_matrix(const DistMatrix& a);
 
   /// Preconditioner by PreconditionerRegistry key ("jacobi", "bjacobi",
   /// "ssor", "ic0-split", "none"); constructed at build() time.
   ProblemBuilder& preconditioner(std::string name);
   ProblemBuilder& preconditioner(std::unique_ptr<Preconditioner> m);
-  ProblemBuilder& borrow_preconditioner(const Preconditioner& m);
+  /// Borrows a preconditioner, e.g. one set-up shared by many Problems
+  /// (apply and ESR recovery are re-entrant; precond/preconditioner.hpp).
+  /// `name` is what reports call it — the registry key it was built under;
+  /// empty means m.name().
+  ProblemBuilder& borrow_preconditioner(const Preconditioner& m,
+                                        std::string name = {});
 
   /// Right-hand side as a global vector.
   ProblemBuilder& rhs(std::vector<double> b_global);

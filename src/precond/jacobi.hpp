@@ -52,10 +52,10 @@ class ExplicitPreconditioner final : public Preconditioner {
   CsrMatrix p_global_;
   FactorizationCache::MatrixKey p_key_;  // content key of the immutable P
   DistMatrix p_dist_;
-  mutable std::vector<std::vector<double>> halos_;  // apply() workspace
   // P_{IF,IF} factorizations reused across recoveries of the same failed
   // set (the preconditioner outlives individual solves, so the cache spans
-  // harness reps; simulated costs are charged on hits too). Unlike the ESR
+  // harness reps; simulated costs are charged on hits too). It is
+  // thread-safe, so concurrent recoveries may share it. Unlike the ESR
   // cache this one is private and always on — esr_recover_residual has no
   // config access, entries are pure functions of (P, failed set), and the
   // set of distinct failed sets bounds its size. SolverConfig's

@@ -11,6 +11,14 @@
 //       node-aligned block-diagonal preconditioners used here this reduces
 //       to the local product r_{If} = M_{If,If} z_{If}
 //   * split    (M = L Lᵀ, e.g. IC(0)): r_{If} = L_{If,If} (Lᵀ)_{If,If} z_{If}
+//
+// Re-entrancy contract: a preconditioner is immutable static data once
+// constructed, like A. `apply` and `esr_recover_residual` must be safe to
+// call concurrently on one instance from different threads (each with its
+// own Cluster and vectors) — the service shares one set-up across the
+// concurrent jobs of a batch. Scratch space is therefore per call or
+// thread-local, never a mutable member; internal memo caches must be
+// thread-safe and must not change what is charged or computed.
 #pragma once
 
 #include <memory>

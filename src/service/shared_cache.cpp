@@ -1,6 +1,8 @@
 #include "service/shared_cache.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -10,8 +12,8 @@
 namespace rpcg::service {
 
 SharedFactorizationCache::SharedFactorizationCache(std::size_t capacity)
-    : capacity_(capacity) {
-  RPCG_CHECK(capacity_ >= 1, "shared cache capacity must be >= 1");
+    : flight_(capacity) {
+  RPCG_CHECK(capacity >= 1, "shared cache capacity must be >= 1");
 }
 
 FactorizationCache::EntryPtr SharedFactorizationCache::get_or_build(
@@ -21,73 +23,24 @@ FactorizationCache::EntryPtr SharedFactorizationCache::get_or_build(
   std::vector<NodeId> sorted(nodes.begin(), nodes.end());
   std::sort(sorted.begin(), sorted.end());
   Key key{std::string(tag), matrix, std::string(ordering), std::move(sorted)};
-
-  std::promise<FactorizationCache::EntryPtr> promise;
-  std::shared_future<FactorizationCache::EntryPtr> future;
-  std::uint64_t claim = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      // Ready entry or an in-flight build by another thread — either way
-      // this request is served without factorizing (a coalesced wait
-      // counts as a hit: the work was shared).
-      ++stats_.hits;
-      it->second.last_use = ++tick_;
-      future = it->second.future;
-    } else {
-      ++stats_.misses;
-      claim = ++tick_;
-      Slot slot;
-      slot.future = promise.get_future().share();
-      slot.last_use = claim;
-      slot.claim = claim;
-      entries_.emplace(key, std::move(slot));
-      if (entries_.size() > capacity_) evict_locked();
+  // A failed build surfaces as the typed CacheBuildFailure with the original
+  // message preserved; anything that is not a std::exception passes through.
+  const auto wrap = [](std::exception_ptr failure) {
+    try {
+      std::rethrow_exception(failure);
+    } catch (const std::exception& e) {
+      return std::make_exception_ptr(CacheBuildFailure(
+          "shared-cache factorization build failed: " + std::string(e.what())));
+    } catch (...) {
+      return failure;
     }
-  }
-  if (future.valid()) return future.get();  // rethrows a builder's failure
-
-  // This thread claimed the slot: build outside the lock — factorization is
-  // the expensive part and must not serialize the whole service — then
-  // publish through the promise so every coalesced waiter wakes with it.
-  // A build failure is wrapped into the typed CacheBuildFailure with the
-  // original message preserved, published to every coalesced waiter, and
-  // the poisoned slot is withdrawn so the next request retries the build
-  // instead of rethrowing forever (the claim tick guards against erasing a
-  // successor's slot if eviction already removed ours).
-  try {
-    FactorizationCache::EntryPtr entry =
-        std::make_shared<const FactorizationCache::Entry>(build());
-    promise.set_value(entry);
-    return entry;
-  } catch (const std::exception& e) {
-    const CacheBuildFailure wrapped(
-        "shared-cache factorization build failed: " + std::string(e.what()));
-    promise.set_exception(std::make_exception_ptr(wrapped));
-    withdraw_slot(key, claim);
-    throw wrapped;
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-    withdraw_slot(key, claim);
-    throw;
-  }
-}
-
-void SharedFactorizationCache::withdraw_slot(const Key& key,
-                                             std::uint64_t claim) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.claim == claim) entries_.erase(it);
-}
-
-void SharedFactorizationCache::evict_locked() {
-  auto victim = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.last_use < victim->second.last_use) victim = it;
-  }
-  entries_.erase(victim);
-  ++stats_.evictions;
+  };
+  return flight_.get_or_build(
+      key,
+      [&build] {
+        return std::make_shared<const FactorizationCache::Entry>(build());
+      },
+      wrap);
 }
 
 FactorizationCache::Upstream SharedFactorizationCache::as_upstream(
@@ -100,16 +53,10 @@ FactorizationCache::Upstream SharedFactorizationCache::as_upstream(
   };
 }
 
-void SharedFactorizationCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
+void SharedFactorizationCache::clear() { flight_.clear(); }
 
 SharedFactorizationCache::Stats SharedFactorizationCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.entries = entries_.size();
-  return s;
+  return flight_.stats();
 }
 
 }  // namespace rpcg::service

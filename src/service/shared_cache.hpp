@@ -19,38 +19,41 @@
 // natural/RCM/AMD knob must not alias entries built under a different
 // permutation.
 //
-// Eviction: least-recently-used by a monotonic use counter (never wall
-// time — the service layer is bound by the same determinism rules as the
-// simulator), with a fixed entry capacity. Like the per-Problem cache this
-// is a host-side optimization only: simulated costs are charged on hits
-// too, so reports are byte-identical with the cache on or off.
+// Eviction: least-recently-used by a monotonic use counter, with a fixed
+// entry capacity. Coalescing, eviction and failed-build withdrawal are the
+// SingleFlight core (util/single_flight.hpp) that the service's set-up cache
+// shares. Like the per-Problem cache this is a host-side optimization only:
+// simulated costs are charged on hits too, so reports are byte-identical
+// with the cache on or off.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/factorization_cache.hpp"
+#include "util/single_flight.hpp"
 #include "util/types.hpp"
 
 namespace rpcg::service {
 
 class SharedFactorizationCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;  ///< currently cached
+  struct Key {
+    std::string tag;
+    FactorizationCache::MatrixKey matrix;
+    std::string ordering;
+    std::vector<NodeId> nodes;  // sorted
+    friend auto operator<=>(const Key&, const Key&) = default;
   };
+  using Flight = SingleFlight<Key, FactorizationCache::EntryPtr>;
+
+ public:
+  /// hits (coalesced waits included), misses (builds started), evictions,
+  /// and the entries currently cached.
+  using Stats = Flight::Stats;
 
   /// `capacity` bounds the number of resident entries (>= 1); the least
   /// recently used entry is evicted first. Entries handed out stay alive
@@ -85,32 +88,7 @@ class SharedFactorizationCache {
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct Key {
-    std::string tag;
-    FactorizationCache::MatrixKey matrix;
-    std::string ordering;
-    std::vector<NodeId> nodes;  // sorted
-    friend auto operator<=>(const Key&, const Key&) = default;
-  };
-  /// A slot exists from the moment a builder claims the key; until the
-  /// build finishes the future is unready and later requesters wait on it.
-  /// Evicting an in-flight slot is harmless — waiters keep the shared
-  /// state alive through their future copies.
-  struct Slot {
-    std::shared_future<FactorizationCache::EntryPtr> future;
-    std::uint64_t last_use = 0;
-    std::uint64_t claim = 0;  ///< tick when the builder claimed the slot
-  };
-
-  void evict_locked();
-  /// Removes the poisoned slot a failed build claimed (claim-tick guarded).
-  void withdraw_slot(const Key& key, std::uint64_t claim);
-
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::uint64_t tick_ = 0;
-  std::map<Key, Slot> entries_;
-  Stats stats_;
+  Flight flight_;
 };
 
 }  // namespace rpcg::service

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "engine/registry.hpp"
-#include "repro/matrices.hpp"
+#include "service/problem_setup.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/json_writer.hpp"
@@ -31,6 +31,8 @@ struct RunContext {
   const RetryPolicy* default_retry = nullptr;
   double default_deadline = 0.0;
   const FaultInjector* injector = nullptr;  ///< null when injection is off
+  SharedFactorizationCache* shared = nullptr;  ///< null when sharing is off
+  ProblemSetupCache* setups = nullptr;
   std::chrono::steady_clock::time_point t0;
   double wall_timeout = 0.0;
 };
@@ -39,9 +41,8 @@ struct RunContext {
 /// `rec` is filled with what ran and (on success) how it ended.
 void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
                  const RetryPolicy& policy, double deadline,
-                 bool classify_budget, SharedFactorizationCache* shared,
-                 const FaultInjector* injector, JobResult& result,
-                 AttemptRecord& rec) {
+                 bool classify_budget, const RunContext& ctx,
+                 JobResult& result, AttemptRecord& rec) {
   engine::SolverConfig config = spec.config;
   if (deadline > 0.0) config.deadline_sim_seconds = deadline;
   if (config.scenario.kind != ScenarioKind::kNone && attempt > 1) {
@@ -53,21 +54,22 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
   }
   rec.scenario_seed = config.scenario.seed;
 
-  if (injector != nullptr && injector->worker_fault(index, attempt)) {
+  if (ctx.injector != nullptr && ctx.injector->worker_fault(index, attempt)) {
     throw SolverError(ErrorClass::kInternal,
                       "injected worker-task fault (job " +
                           std::to_string(index) + ", attempt " +
                           std::to_string(attempt) + ")");
   }
-  repro::ReproMatrix mat = repro::make_matrix(spec.matrix, spec.scale);
-  engine::Problem problem = engine::ProblemBuilder()
-                                .matrix(std::move(mat.matrix))
-                                .nodes(spec.nodes)
-                                .preconditioner(spec.precond)
+  // The static data comes from the batch's shared set-up; the RHS, noise
+  // and factorization cache are this attempt's own. Declared first, the
+  // set-up outlives the Problem that borrows it.
+  const std::shared_ptr<const ProblemSetup> setup = ctx.setups->acquire(spec);
+  engine::Problem problem = setup->builder()
                                 .rhs_strategy(spec.rhs)
                                 .noise(spec.noise_cv, spec.noise_seed)
                                 .build();
-  if (injector != nullptr && injector->cache_build_fault(index, attempt)) {
+  if (ctx.injector != nullptr &&
+      ctx.injector->cache_build_fault(index, attempt)) {
     // The injected upstream fires on the first factorization lookup the
     // attempt would have sent past its private cache.
     problem.factorization_cache().set_upstream(
@@ -79,8 +81,8 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
                                   std::to_string(index) + ", attempt " +
                                   std::to_string(attempt) + ")");
         });
-  } else if (shared != nullptr) {
-    problem.factorization_cache().set_upstream(shared->as_upstream());
+  } else if (ctx.shared != nullptr) {
+    problem.factorization_cache().set_upstream(ctx.shared->as_upstream());
   }
   const auto solver =
       engine::SolverRegistry::instance().create(rec.solver, config);
@@ -105,7 +107,7 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
 /// Runs the job's retry loop and folds any failure into JobResult::error —
 /// one broken job must never take the batch down.
 JobResult run_one(const JobSpec& spec, std::size_t index,
-                  SharedFactorizationCache* shared, const RunContext& ctx) {
+                  const RunContext& ctx) {
   JobResult result;
   result.index = index;
   if (spec.name.empty()) {
@@ -144,7 +146,7 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
     rec.backoff_sim_seconds = policy.backoff_before(attempt);
     try {
       run_attempt(spec, index, attempt, policy, deadline, classify_budget,
-                  shared, ctx.injector, result, rec);
+                  ctx, result, rec);
       result.error.clear();
       result.attempts.push_back(std::move(rec));
       break;
@@ -185,14 +187,14 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
   summary.jobs.resize(jobs.size());
 
   SharedFactorizationCache shared(options_.shared_cache_capacity);
-  SharedFactorizationCache* shared_ptr =
-      options_.shared_cache ? &shared : nullptr;
-
+  ProblemSetupCache setups(jobs, options_.shared_cache);
   const FaultInjector injector(options_.fault_injection);
   RunContext ctx;
   ctx.default_retry = &options_.retry;
   ctx.default_deadline = options_.default_deadline_sim_seconds;
   ctx.injector = options_.fault_injection.enabled ? &injector : nullptr;
+  ctx.shared = options_.shared_cache ? &shared : nullptr;
+  ctx.setups = &setups;
   ctx.wall_timeout = options_.wall_timeout_seconds;
 
   // One mutex covers result storage, the in-flight bound, and the sink —
@@ -227,10 +229,10 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
         ++emit.in_flight;
       }
       const JobSpec& spec = jobs[i];
-      futures.push_back(pool.submit([&summary, &emit, &sink, &spec, i,
-                                     shared_ptr, &ctx,
+      futures.push_back(pool.submit([&summary, &emit, &sink, &spec, i, &ctx,
                                      order = options_.order] {
-        JobResult result = run_one(spec, i, shared_ptr, ctx);
+        JobResult result = run_one(spec, i, ctx);
+        ctx.setups->release(spec);
         {
           std::lock_guard<std::mutex> lock(emit.mu);
           summary.jobs[i] = std::move(result);
@@ -258,6 +260,7 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
 
   summary.wall_seconds = seconds_since(t0);
   summary.shared_stats = shared.stats();
+  summary.problem_setups = setups.builds();
   summary.total_factorizations = 0;
   for (const JobResult& job : summary.jobs) {
     if (!job.ok()) ++summary.failed;

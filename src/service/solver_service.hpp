@@ -1,12 +1,12 @@
 // SolverService: the concurrent multi-problem engine.
 //
 // A service run takes a batch of JobSpecs, builds one engine::Problem per
-// job (repro matrix -> ProblemBuilder -> registry solver), schedules the
-// jobs over a private worker pool with a bounded in-flight count, and
-// streams one JobResult per job to a caller-supplied sink. Two output
-// orders: completion order (lowest latency to first result) and submission
-// order (deterministic stream — the mode the byte-identical-across-worker-
-// counts battery locks in).
+// job attempt (shared set-up -> ProblemBuilder -> registry solver),
+// schedules the jobs over a private worker pool with a bounded in-flight
+// count, and streams one JobResult per job to a caller-supplied sink. Two
+// output orders: completion order (lowest latency to first result) and
+// submission order (deterministic stream — the mode the byte-identical-
+// across-worker-counts battery locks in).
 //
 // Pools: jobs run on a *private* pool, never on ThreadPool::shared(). A job
 // whose SolverConfig asks for threaded execution fans its per-node loops
@@ -15,6 +15,16 @@
 // run_chunked waiting for chunk tasks that can never be scheduled. Keeping
 // the two layers on disjoint pools makes the composition deadlock-free (the
 // same reasoning run_all applies to its child benches).
+//
+// Set-up sharing: a job's static data — repro matrix, partition,
+// distributed matrix and preconditioner — depends only on (matrix, scale,
+// nodes, precond). With ServiceOptions::shared_cache on, a run builds each
+// distinct set-up once and every attempt naming its key borrows it
+// (service/problem_setup.hpp); the RHS, noise and factorization cache stay
+// per attempt, so reports are unchanged. A set-up is dropped when the last
+// job naming its key finishes; there is no eviction setting. With the
+// switch off every attempt builds its own. ServiceReport::problem_setups
+// counts the builds.
 //
 // The cross-job SharedFactorizationCache is wired under each Problem's
 // private cache via FactorizationCache::set_upstream, so identical
@@ -160,6 +170,10 @@ struct ServiceReport {
   /// cache-off delta of this number is the bench/service_throughput
   /// acceptance metric.
   std::uint64_t total_factorizations = 0;
+  /// Problem set-ups built (service/problem_setup.hpp): one per distinct
+  /// (matrix, scale, nodes, precond) with sharing on, one per attempt that
+  /// reached its build with it off. Struct-only: not part of the JSON.
+  std::uint64_t problem_setups = 0;
   std::size_t failed = 0;
   /// Robustness counters.
   std::size_t retries = 0;          ///< attempts beyond each job's first

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "engine/registry.hpp"
@@ -66,6 +67,43 @@ TEST(ProblemBuilder, BorrowedDistMatrixSuppliesThePartition) {
                   .create("pcg")
                   ->solve(problem, x)
                   .converged);
+}
+
+TEST(ProblemBuilder, MovedProblemSolvesAfterSourceIsDestroyed) {
+  // The distributed matrix, the block-Jacobi preconditioner and the RHS all
+  // point at the partition. A Problem moved out of a destroyed source must
+  // still see it (a by-value partition member would leave them dangling;
+  // caught under ASan) and solve exactly like one that never moved.
+  const auto build = [] {
+    return engine::ProblemBuilder()
+        .matrix(poisson2d_5pt(12, 12))
+        .nodes(6)
+        .preconditioner("bjacobi")
+        .build();
+  };
+  const auto solve = [](engine::Problem& problem) {
+    engine::SolverConfig cfg;
+    cfg.recovery = RecoveryMethod::kEsr;
+    cfg.phi = 2;
+    DistVector x = problem.make_x();
+    engine::SolveReport rep =
+        engine::SolverRegistry::instance()
+            .create("resilient-pcg", cfg)
+            ->solve(problem, x, FailureSchedule::contiguous(3, 1, 2));
+    rep.wall_seconds = 0.0;
+    return rep;
+  };
+
+  std::optional<engine::Problem> source(build());
+  engine::Problem moved = std::move(*source);
+  source.reset();
+  EXPECT_EQ(moved.matrix().partition().num_nodes(), 6);
+  EXPECT_EQ(&moved.matrix().partition(), &moved.partition());
+
+  const engine::SolveReport got = solve(moved);
+  EXPECT_TRUE(got.converged);
+  engine::Problem reference = build();
+  EXPECT_EQ(got.to_json(), solve(reference).to_json());
 }
 
 TEST(ProblemBuilder, MissingMatrixThrows) {

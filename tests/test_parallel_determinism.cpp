@@ -5,14 +5,20 @@
 // same per-iteration residual history, same recovery records, same
 // simulated times, byte-identical report JSON. This is the contract that
 // makes the threaded cluster safe to switch on anywhere (see
-// util/thread_pool.hpp).
+// util/thread_pool.hpp). The battery also holds the preconditioners to
+// their re-entrancy contract (precond/preconditioner.hpp): concurrent
+// solves over one shared set-up equal sequential ones.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/registry.hpp"
 #include "precond/block_jacobi.hpp"
+#include "precond/jacobi.hpp"
 #include "sim/partition.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ldlt.hpp"
@@ -201,6 +207,63 @@ TEST(ParallelDeterminismExtra, MoreWorkersThanNodes) {
   const RunOutput thr =
       run_once("resilient-pcg", "bjacobi", ExecutionPolicy::threaded_with(64));
   EXPECT_EQ(seq.report_json, thr.report_json);
+}
+
+// One set-up shared by concurrent solves, as the service shares a batch's
+// set-ups across its workers. For every registry key, plus the explicit-P
+// preconditioner, two threads borrow the same matrix, distribution and
+// preconditioner and run a resilient solve with ESR recoveries; both reports
+// must equal the sequential one. A race on shared scratch shows up as a
+// mismatch here and as a report under TSan.
+TEST(SharedSetup, ConcurrentSolvesMatchSequential) {
+  const CsrMatrix a = poisson2d_5pt(16, 16);
+  const Partition part = Partition::block_rows(a.rows(), 8);
+  const DistMatrix dist = DistMatrix::distribute(a, part);
+  const auto& registry = engine::PreconditionerRegistry::instance();
+  std::vector<std::pair<std::string, std::unique_ptr<Preconditioner>>> setups;
+  for (const std::string& key : registry.names())
+    setups.emplace_back(key, registry.create(key, a, part));
+  setups.emplace_back("explicit-p",
+                      std::make_unique<ExplicitPreconditioner>(
+                          tridiag_spd(a.rows(), 3.0, -1.0), part));
+
+  const auto solve = [&a, &dist](const Preconditioner& m,
+                                 const std::string& name) -> std::string {
+    try {
+      engine::Problem problem = engine::ProblemBuilder()
+                                    .borrow_matrix(a)
+                                    .borrow_dist_matrix(dist)
+                                    .borrow_preconditioner(m, name)
+                                    .build();
+      engine::SolverConfig cfg;
+      cfg.rtol = 1e-9;
+      cfg.max_iterations = 400;
+      cfg.recovery = RecoveryMethod::kEsr;
+      cfg.phi = 3;
+      DistVector x = problem.make_x();
+      engine::SolveReport report =
+          engine::SolverRegistry::instance()
+              .create("resilient-pcg", cfg)
+              ->solve(problem, x, multi_failure_schedule());
+      report.wall_seconds = 0.0;
+      return report.to_json();
+    } catch (const std::exception& e) {
+      return std::string("error: ") + e.what();
+    }
+  };
+
+  for (const auto& [name, m] : setups) {
+    const std::string seq = solve(*m, name);
+    ASSERT_EQ(seq.rfind("error: ", 0), std::string::npos) << name << seq;
+    std::string first;
+    std::string second;
+    std::thread t1([&] { first = solve(*m, name); });
+    std::thread t2([&] { second = solve(*m, name); });
+    t1.join();
+    t2.join();
+    EXPECT_EQ(first, seq) << name;
+    EXPECT_EQ(second, seq) << name;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // The SolverService battery: the JSON-lines job front end, the cross-job
-// SharedFactorizationCache (hit/miss/eviction/coalescing), ThreadPool::submit,
+// SharedFactorizationCache (hit/miss/eviction/coalescing), the shared problem
+// set-ups (one build per key, lifetime, failed builds), ThreadPool::submit,
 // and the service determinism contract — submission-order per-job reports are
-// byte-identical no matter how many workers raced to produce them.
+// byte-identical no matter how many workers raced to produce them, and
+// whether or not set-ups and factorizations are shared.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +20,7 @@
 #include "core/failure_scenario.hpp"
 #include "service/job.hpp"
 #include "service/json_value.hpp"
+#include "service/problem_setup.hpp"
 #include "service/shared_cache.hpp"
 #include "service/solver_service.hpp"
 #include "util/thread_pool.hpp"
@@ -27,6 +31,8 @@ using rpcg::FactorizationCache;
 using rpcg::service::JobResult;
 using rpcg::service::JobSpec;
 using rpcg::service::JsonValue;
+using rpcg::service::ProblemSetup;
+using rpcg::service::ProblemSetupCache;
 using rpcg::service::ServiceOptions;
 using rpcg::service::ServiceReport;
 using rpcg::service::SharedFactorizationCache;
@@ -315,6 +321,17 @@ std::vector<JobSpec> mixed_batch() {
   return rpcg::service::parse_job_lines(in);
 }
 
+/// Scenario-driven batch: every job names a seeded generator instead of an
+/// explicit schedule, covering all four new strategy/scenario pairings
+/// through the service front end. Two jobs are byte-identical on purpose.
+std::vector<JobSpec> scenario_batch() {
+  std::istringstream in(R"({"name": "ckpt-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
+{"name": "ckpt-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
+{"name": "twin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "twin-pcg", "scenario": "correlated", "scenario-seed": 9, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
+{"name": "esr", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 3, "scenario": "cascading", "scenario-seed": 11, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "scenario-window": 3})");
+  return rpcg::service::parse_job_lines(in);
+}
+
 /// Per-job JSON with the host-time fields (the only nondeterministic ones)
 /// zeroed, so runs can be compared byte-for-byte.
 std::vector<std::string> normalized_job_reports(const ServiceReport& report) {
@@ -368,14 +385,171 @@ TEST(SolverService, SubmissionOrderReportsAreByteIdenticalAcrossWorkers) {
 }
 
 TEST(SolverService, CachedRunsMatchUncachedRuns) {
+  // mixed_batch's esr-a and esr-b recover the same failed set, so sharing
+  // saves a factorization there; scenario_batch's recoveries are distinct.
+  const struct {
+    std::vector<JobSpec> jobs;
+    bool shares_factorizations;
+  } batches[] = {{mixed_batch(), true}, {scenario_batch(), false}};
+  for (const auto& [jobs, shares_factorizations] : batches) {
+    const ServiceReport cached =
+        run_batch(jobs, 4, rpcg::service::OutputOrder::kSubmission, true);
+    const ServiceReport uncached =
+        run_batch(jobs, 4, rpcg::service::OutputOrder::kSubmission, false);
+    ASSERT_EQ(cached.failed, 0u);
+    // Sharing set-ups and factorizations changes who builds them, never
+    // what any job computes.
+    EXPECT_EQ(normalized_job_reports(cached),
+              normalized_job_reports(uncached));
+    EXPECT_LT(cached.problem_setups, uncached.problem_setups);
+    if (shares_factorizations) {
+      EXPECT_LT(cached.total_factorizations, uncached.total_factorizations);
+    } else {
+      EXPECT_EQ(cached.total_factorizations, uncached.total_factorizations);
+    }
+  }
+}
+
+TEST(SolverService, SetupsAreBuiltOncePerKeyWhenShared) {
+  // mixed_batch names three set-ups: M1/jacobi, M1/bjacobi and M2/bjacobi,
+  // all at scale 256 on 8 nodes.
   const std::vector<JobSpec> jobs = mixed_batch();
-  const ServiceReport cached =
-      run_batch(jobs, 4, rpcg::service::OutputOrder::kSubmission, true);
-  const ServiceReport uncached =
-      run_batch(jobs, 4, rpcg::service::OutputOrder::kSubmission, false);
-  // The shared cache changes who factorizes, never what any job computes.
-  EXPECT_EQ(normalized_job_reports(cached), normalized_job_reports(uncached));
-  EXPECT_LT(cached.total_factorizations, uncached.total_factorizations);
+  for (const int workers : {1, 4}) {
+    const ServiceReport shared =
+        run_batch(jobs, workers, rpcg::service::OutputOrder::kSubmission, true);
+    EXPECT_EQ(shared.problem_setups, 3u) << "workers=" << workers;
+    const ServiceReport unshared = run_batch(
+        jobs, workers, rpcg::service::OutputOrder::kSubmission, false);
+    EXPECT_EQ(unshared.problem_setups, jobs.size()) << "workers=" << workers;
+  }
+
+  // Without sharing every attempt builds its own set-up; with it, retried
+  // attempts reuse the job's set-up.
+  ServiceOptions opts;
+  opts.workers = 2;
+  opts.retry.max_attempts = 4;
+  opts.fault_injection.enabled = true;
+  // The first factorization lookup of every first attempt fails, after its
+  // set-up was built: the four recovering jobs retry once.
+  opts.fault_injection.cache_fail_first_attempts = 1;
+  opts.shared_cache = false;
+  const ServiceReport retried = SolverService(opts).run(jobs);
+  ASSERT_EQ(retried.failed, 0u);
+  ASSERT_EQ(retried.retries, 4u);
+  EXPECT_EQ(retried.problem_setups, jobs.size() + retried.retries);
+  opts.shared_cache = true;
+  EXPECT_EQ(SolverService(opts).run(jobs).problem_setups, 3u);
+}
+
+TEST(SolverService, UnknownPreconditionerFailsOnlyTheJobsNamingIt) {
+  std::vector<JobSpec> jobs = mixed_batch();
+  JobSpec bad = jobs[1];
+  bad.precond = "no-such-precond";
+  bad.name = "bad-a";
+  jobs.insert(jobs.begin() + 1, bad);
+  bad.name = "bad-b";
+  jobs.push_back(bad);
+  // A later job on the same matrix, scale and nodes with a valid key.
+  JobSpec good = jobs[0];
+  good.name = "after-bad";
+  jobs.push_back(good);
+
+  for (const bool shared : {true, false}) {
+    for (const int workers : {1, 4}) {
+      ServiceOptions opts;
+      opts.workers = workers;
+      opts.shared_cache = shared;
+      opts.retry.max_attempts = 3;
+      const ServiceReport run = SolverService(opts).run(jobs);
+      EXPECT_EQ(run.failed, 2u);
+      for (const JobResult& job : run.jobs) {
+        if (job.precond != "no-such-precond") {
+          EXPECT_TRUE(job.ok()) << job.name << ": " << job.error;
+          continue;
+        }
+        // The original invalid_argument surfaces, not a retryable wrapped
+        // build failure, so the policy's spare attempts stay unused.
+        EXPECT_EQ(job.error_class, rpcg::ErrorClass::kInvalidJob) << job.name;
+        EXPECT_NE(job.error.find("no-such-precond"), std::string::npos);
+        EXPECT_EQ(job.attempts.size(), 1u);
+      }
+    }
+  }
+}
+
+// ---- shared problem set-ups ----------------------------------------------
+
+JobSpec setup_job(int matrix, const char* precond) {
+  JobSpec spec;
+  spec.matrix = matrix;
+  spec.scale = 256;
+  spec.nodes = 8;
+  spec.precond = precond;
+  return spec;
+}
+
+TEST(ProblemSetupCache, NoSetupOutlivesItsKeysLastJob) {
+  const std::vector<JobSpec> jobs{setup_job(1, "bjacobi"),
+                                  setup_job(2, "bjacobi"),
+                                  setup_job(1, "bjacobi")};
+  ProblemSetupCache cache(jobs, true);
+
+  std::weak_ptr<const ProblemSetup> m1;
+  std::weak_ptr<const ProblemSetup> m2;
+  {
+    const auto first = cache.acquire(jobs[0]);
+    const auto other = cache.acquire(jobs[1]);
+    m1 = first;
+    m2 = other;
+    EXPECT_EQ(cache.acquire(jobs[2]), first);  // same key, same set-up
+    EXPECT_EQ(cache.builds(), 2u);
+  }
+  cache.release(jobs[0]);
+  EXPECT_FALSE(m1.expired());  // jobs[2] still names M1
+  cache.release(jobs[1]);
+  EXPECT_TRUE(m2.expired());  // M2's only job finished
+  EXPECT_EQ(cache.resident(), 1u);
+
+  // An attempt still running keeps its set-up alive past the release, and
+  // no longer.
+  {
+    const auto running = cache.acquire(jobs[2]);
+    cache.release(jobs[2]);
+    EXPECT_EQ(cache.resident(), 0u);
+    EXPECT_FALSE(m1.expired());
+  }
+  EXPECT_TRUE(m1.expired());
+  EXPECT_EQ(cache.builds(), 2u);
+}
+
+TEST(ProblemSetupCache, UnsharedBuildsOnePerAcquire) {
+  const std::vector<JobSpec> jobs{setup_job(1, "jacobi"),
+                                  setup_job(1, "jacobi")};
+  ProblemSetupCache cache(jobs, false);
+  std::weak_ptr<const ProblemSetup> first = cache.acquire(jobs[0]);
+  EXPECT_TRUE(first.expired());  // nothing but the attempt holds it
+  const auto a = cache.acquire(jobs[0]);
+  const auto b = cache.acquire(jobs[1]);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(cache.builds(), 3u);
+  EXPECT_EQ(cache.resident(), 0u);
+}
+
+TEST(ProblemSetupCache, FailedBuildRethrowsTheOriginalAndIsRetried) {
+  const std::vector<JobSpec> jobs{setup_job(1, "no-such-precond"),
+                                  setup_job(1, "no-such-precond")};
+  ProblemSetupCache cache(jobs, true);
+  for (const JobSpec& spec : jobs) {
+    try {
+      (void)cache.acquire(spec);
+      FAIL() << "an unknown preconditioner must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("no-such-precond"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(cache.builds(), 0u);
+  EXPECT_EQ(cache.resident(), 0u);  // the failed slot was withdrawn
 }
 
 TEST(SolverService, CompletionOrderStreamsEveryJobOnce) {
@@ -422,17 +596,6 @@ TEST(SolverService, DefaultJobNamesUseSubmissionIndex) {
   const ServiceReport run =
       run_batch(jobs, 1, rpcg::service::OutputOrder::kSubmission);
   EXPECT_EQ(run.jobs[0].name, "job-0");
-}
-
-/// Scenario-driven batch: every job names a seeded generator instead of an
-/// explicit schedule, covering all four new strategy/scenario pairings
-/// through the service front end. Two jobs are byte-identical on purpose.
-std::vector<JobSpec> scenario_batch() {
-  std::istringstream in(R"({"name": "ckpt-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
-{"name": "ckpt-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
-{"name": "twin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "twin-pcg", "scenario": "correlated", "scenario-seed": 9, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
-{"name": "esr", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 3, "scenario": "cascading", "scenario-seed": 11, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "scenario-window": 3})");
-  return rpcg::service::parse_job_lines(in);
 }
 
 TEST(SolverService, ScenarioJobsRunDeterministicallyAcrossWorkers) {
