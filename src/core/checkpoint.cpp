@@ -4,45 +4,6 @@
 
 namespace rpcg {
 
-void CheckpointStorage::save(Cluster& cluster, int iteration, const DistVector& x,
-                             const DistVector& r, const DistVector& z,
-                             const DistVector& p, double rz, double beta_prev) {
-  {
-    ClockPause pause(cluster.clock());
-    x_ = x.gather_global();
-    r_ = r.gather_global();
-    z_ = z.gather_global();
-    p_ = p.gather_global();
-  }
-  rz_ = rz;
-  beta_prev_ = beta_prev;
-  iter_ = iteration;
-  has_ = true;
-  // All nodes write their 4 blocks concurrently; the phase costs as much as
-  // the largest block.
-  cluster.charge(
-      Phase::kCheckpoint,
-      cluster.comm().storage_cost(4 * cluster.partition().max_block_size()));
-}
-
-void CheckpointStorage::restore(Cluster& cluster, DistVector& x, DistVector& r,
-                                DistVector& z, DistVector& p, double& rz,
-                                double& beta_prev) const {
-  RPCG_CHECK(has_, "no checkpoint to restore");
-  {
-    ClockPause pause(cluster.clock());
-    x.set_global(x_);
-    r.set_global(r_);
-    z.set_global(z_);
-    p.set_global(p_);
-  }
-  rz = rz_;
-  beta_prev = beta_prev_;
-  cluster.charge(
-      Phase::kRecovery,
-      cluster.comm().storage_cost(4 * cluster.partition().max_block_size()));
-}
-
 std::string to_string(CheckpointMedium m) { return enum_to_string(m); }
 
 CheckpointCostModel CheckpointCostModel::resolved(const CommModel& comm) const {
@@ -73,46 +34,25 @@ double CheckpointCostModel::read_cost(const CommModel& comm,
          static_cast<double>(elements) * r.read_per_element_s;
 }
 
-void CostedCheckpointStore::save(Cluster& cluster, int iteration,
-                                 const DistVector& x, const DistVector& r,
-                                 const DistVector& p, double rz,
-                                 double beta_prev) {
-  {
-    ClockPause pause(cluster.clock());
-    x_ = x.gather_global();
-    r_ = r.gather_global();
-    p_ = p.gather_global();
-  }
-  rz_ = rz;
-  beta_prev_ = beta_prev;
+void CheckpointStore::save(int iteration,
+                           std::initializer_list<const DistVector*> vectors,
+                           std::initializer_list<double> scalars) {
+  vectors_.clear();
+  for (const DistVector* v : vectors) vectors_.push_back(v->gather_global());
+  scalars_.assign(scalars);
   iter_ = iteration;
-  has_ = true;
-  cluster.charge(Phase::kCheckpoint,
-                 costs_.write_cost(cluster.comm(),
-                                   3 * cluster.partition().max_block_size()));
 }
 
-void CostedCheckpointStore::restore(Cluster& cluster, DistVector& x,
-                                    DistVector& r, DistVector& p, double& rz,
-                                    double& beta_prev) const {
-  RPCG_CHECK(has_, "no checkpoint to restore");
-  {
-    ClockPause pause(cluster.clock());
-    x.set_global(x_);
-    r.set_global(r_);
-    p.set_global(p_);
-  }
-  rz = rz_;
-  beta_prev = beta_prev_;
-  cluster.charge(Phase::kRecovery,
-                 costs_.read_cost(cluster.comm(),
-                                  3 * cluster.partition().max_block_size()));
-}
-
-void CostedCheckpointStore::charge_aborted_restore(Cluster& cluster) const {
-  cluster.charge(Phase::kRecovery,
-                 costs_.read_cost(cluster.comm(),
-                                  3 * cluster.partition().max_block_size()));
+void CheckpointStore::restore(std::initializer_list<DistVector*> vectors,
+                              std::initializer_list<double*> scalars) const {
+  RPCG_CHECK(iter_ >= 0, "no checkpoint to restore");
+  RPCG_REQUIRE(vectors.size() == vectors_.size() &&
+                   scalars.size() == scalars_.size(),
+               "restore must name what was saved");
+  auto saved = vectors_.begin();
+  for (DistVector* v : vectors) v->set_global(*saved++);
+  auto value = scalars_.begin();
+  for (double* s : scalars) *s = *value++;
 }
 
 }  // namespace rpcg

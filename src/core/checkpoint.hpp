@@ -1,21 +1,22 @@
-// Checkpoint/restart baseline (the in-practice standard technique the paper
-// positions ESR against, Sec. 1.2): every c iterations the full solver state
-// {x, r, z, p, scalars} is written to reliable storage; after a node failure
-// *all* nodes roll back to the last checkpoint and the iterations since then
-// are redone.
+// Checkpointing: the baselines that keep a copy of solver state and roll
+// back to it (or copy it forward) instead of reconstructing it.
 //
-// Two stores live here. CheckpointStorage is the legacy fixed-cost store of
-// the kCheckpointRestart baseline (4 vectors at disk rates, untouched — its
-// charge sequence is part of the byte-identity contract of existing
-// reports). CostedCheckpointStore backs the "checkpoint-recovery" solver
-// (algorithm-based checkpointing à la Pachajoa et al., arXiv:2007.04066):
-// it persists the minimal PCG state {x, r, p, rz, beta_prev} — z is
-// recomputed from r through the preconditioner on restore — under a
-// parameterized cost model that distinguishes in-memory (neighbor/NVRAM at
-// network rates) from disk (reliable storage rates) checkpoints.
+// One store serves every such strategy. CheckpointStore snapshots whatever
+// vectors and replicated scalars it is handed — the checkpoint/restart
+// baseline of resilient-pcg saves {x, r, z, p, rz, beta_prev} (Sec. 1.2 of
+// the paper), the "checkpoint-recovery" solver (algorithm-based
+// checkpointing à la Pachajoa et al., arXiv:2007.04066) saves the minimal
+// {x, r, p, rz, beta_prev} and recomputes z on restore, and twin-pcg keeps
+// its buddy mirror of {x, r, p} in one. The store is host-side only; each
+// caller charges its medium's cost: storage_cost(4 * max_block) for the
+// checkpoint/restart baseline, the CheckpointCostModel below for
+// checkpoint-recovery, buddy messages for twin-pcg. The cost model
+// distinguishes in-memory (neighbor/NVRAM at network rates) from disk
+// (reliable storage rates) checkpoints.
 #pragma once
 
 #include <array>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,31 +26,6 @@
 #include "util/enum_names.hpp"
 
 namespace rpcg {
-
-class CheckpointStorage {
- public:
-  /// Writes a checkpoint of the full solver state. Charges the parallel
-  /// write cost (4 vector blocks per node) to Phase::kCheckpoint.
-  void save(Cluster& cluster, int iteration, const DistVector& x,
-            const DistVector& r, const DistVector& z, const DistVector& p,
-            double rz, double beta_prev);
-
-  [[nodiscard]] bool has_checkpoint() const { return has_; }
-  [[nodiscard]] int iteration() const { return iter_; }
-
-  /// Restores the full solver state on all nodes (the failed node reads its
-  /// block from storage like everyone else; replacement must already be
-  /// online). Charges the parallel read cost to Phase::kRecovery.
-  void restore(Cluster& cluster, DistVector& x, DistVector& r, DistVector& z,
-               DistVector& p, double& rz, double& beta_prev) const;
-
- private:
-  bool has_ = false;
-  int iter_ = 0;
-  std::vector<double> x_, r_, z_, p_;
-  double rz_ = 0.0;
-  double beta_prev_ = 0.0;
-};
 
 /// Where checkpoint-recovery keeps its copies.
 enum class CheckpointMedium {
@@ -85,40 +61,26 @@ struct CheckpointCostModel {
   [[nodiscard]] double read_cost(const CommModel& comm, Index elements) const;
 };
 
-/// The 3-vector store of the "checkpoint-recovery" solver. All nodes write
-/// their blocks concurrently, so an access costs as much as the largest
-/// block under the cost model.
-class CostedCheckpointStore {
+/// A snapshot of solver state: the given vectors (gathered to host-side
+/// copies) and replicated scalars, tagged with the iteration they belong
+/// to. Charges no simulated time.
+class CheckpointStore {
  public:
-  explicit CostedCheckpointStore(CheckpointCostModel costs)
-      : costs_(costs) {}
-
-  [[nodiscard]] const CheckpointCostModel& costs() const { return costs_; }
-  [[nodiscard]] bool has_checkpoint() const { return has_; }
   [[nodiscard]] int iteration() const { return iter_; }
 
-  /// Charges the parallel write cost (3 blocks/node) to Phase::kCheckpoint.
-  void save(Cluster& cluster, int iteration, const DistVector& x,
-            const DistVector& r, const DistVector& p, double rz,
-            double beta_prev);
+  void save(int iteration, std::initializer_list<const DistVector*> vectors,
+            std::initializer_list<double> scalars = {});
 
-  /// Restores {x, r, p, rz, beta_prev} on all nodes; charges the parallel
-  /// read cost (3 blocks/node) to Phase::kRecovery. Replacements must
-  /// already be online.
-  void restore(Cluster& cluster, DistVector& x, DistVector& r, DistVector& p,
-               double& rz, double& beta_prev) const;
-
-  /// Cost of a restore cut short by an overlapping failure (the read had to
-  /// be redone with the merged failed set); charged to Phase::kRecovery.
-  void charge_aborted_restore(Cluster& cluster) const;
+  /// Writes the snapshot back into the given vectors (every block, marking
+  /// them valid) and scalars — the same number of each, in the order they
+  /// were saved. Replacement nodes must already be online.
+  void restore(std::initializer_list<DistVector*> vectors,
+               std::initializer_list<double*> scalars = {}) const;
 
  private:
-  CheckpointCostModel costs_;
-  bool has_ = false;
-  int iter_ = 0;
-  std::vector<double> x_, r_, p_;
-  double rz_ = 0.0;
-  double beta_prev_ = 0.0;
+  int iter_ = -1;
+  std::vector<std::vector<double>> vectors_;
+  std::vector<double> scalars_;
 };
 
 }  // namespace rpcg

@@ -40,7 +40,7 @@ struct RecoveryRecord {
 };
 
 /// Passed to `on_checkpoint` right after a periodic state save (the
-/// checkpoint/restart baseline only).
+/// checkpoint/restart method of resilient-pcg and checkpoint-recovery).
 struct CheckpointEvent {
   int iteration = 0;  ///< iteration whose state was saved
   int index = 0;      ///< 0-based count of checkpoints written so far
@@ -53,8 +53,9 @@ struct SolverEvents {
   /// Right after a scheduled failure event is injected (nodes are dead,
   /// recovery has not run yet). Fired once per FailureEvent.
   std::function<void(const FailureEvent&)> on_failure_injected;
-  /// After a recovery (ESR reconstruction, checkpoint rollback, or
-  /// interpolation restart) has completed.
+  /// After a recovery (ESR reconstruction, checkpoint rollback,
+  /// interpolation restart, or twin copy-back) has completed. Fired once per
+  /// wave: the events injected at one iteration are recovered together.
   std::function<void(const RecoveryRecord&)> on_recovery_complete;
   /// After a periodic checkpoint write.
   std::function<void(const CheckpointEvent&)> on_checkpoint;

@@ -61,41 +61,4 @@ class FailureSchedule {
   std::vector<FailureEvent> events_;
 };
 
-/// Fire-once traversal of a FailureSchedule during a solve: each event is
-/// surfaced exactly once, at its scheduled iteration. Shared by the
-/// resilient solver engines (blocking and pipelined), which previously each
-/// kept their own fired-flag bookkeeping. The schedule must outlive the
-/// cursor.
-class FailureCursor {
- public:
-  FailureCursor() = default;
-  explicit FailureCursor(const FailureSchedule& schedule)
-      : schedule_(&schedule), fired_(schedule.events().size(), 0) {}
-
-  /// Indices of not-yet-fired events scheduled at `iteration`, in schedule
-  /// order; the returned events are marked fired (the caller processes the
-  /// whole batch — rollbacks that revisit the iteration must not re-fire
-  /// them).
-  [[nodiscard]] std::vector<int> take_due(int iteration) {
-    std::vector<int> due;
-    if (schedule_ == nullptr) return due;
-    const auto& events = schedule_->events();
-    for (std::size_t idx = 0; idx < events.size(); ++idx) {
-      if (!fired_[idx] && events[idx].iteration == iteration) {
-        fired_[idx] = 1;
-        due.push_back(static_cast<int>(idx));
-      }
-    }
-    return due;
-  }
-
-  [[nodiscard]] const FailureEvent& event(int idx) const {
-    return schedule_->events()[static_cast<std::size_t>(idx)];
-  }
-
- private:
-  const FailureSchedule* schedule_ = nullptr;
-  std::vector<char> fired_;
-};
-
 }  // namespace rpcg

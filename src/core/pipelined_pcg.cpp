@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "core/errors.hpp"
 #include "core/factorization_cache.hpp"
 #include "sim/collectives.hpp"
 #include "util/check.hpp"
@@ -118,16 +119,28 @@ PipelinedPcg::PipelinedPcg(Cluster& cluster, const CsrMatrix& a_global,
   }
 }
 
-void PipelinedPcg::inject_failures(const std::vector<NodeId>& nodes,
-                                   DistVector& x,
-                                   std::vector<DistVector*> state) {
-  for (const NodeId f : nodes) {
-    cluster_.fail_node(f);
-    x.invalidate(f);
-    for (DistVector* v : state) v->invalidate(f);
-    store_p_.invalidate_node(f);
-    store_u_.invalidate_node(f);
-  }
+FailureInjector PipelinedPcg::make_injector(const FailureSchedule& schedule,
+                                            DistVector& x,
+                                            std::vector<DistVector*> state) {
+  state.push_back(&x);
+  return FailureInjector(
+      schedule,
+      {cluster_, std::move(state), opts_.events, opts_.phi > 0,
+       [this](NodeId f) {
+         store_p_.invalidate_node(f);
+         store_u_.invalidate_node(f);
+       },
+       [this](std::span<const NodeId> merged) {
+         // The gathers for `merged` were underway; the changed survivor
+         // structure invalidates its cached factorizations (as in the
+         // blocking engine).
+         const std::vector<Index> partial_rows =
+             cluster_.partition().rows_of_set(merged);
+         (void)store_u_.gather_lost(cluster_, partial_rows);
+         (void)store_p_.gather_lost(cluster_, partial_rows);
+         if (opts_.esr.cache != nullptr)
+           (void)opts_.esr.cache->invalidate_overlapping(merged);
+       }});
 }
 
 RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
@@ -367,7 +380,7 @@ SolveReport PipelinedPcg::solve_depth1(const DistVector& b, DistVector& x,
   a_->spmv(cluster_, st.u, st.w, halos, it);
 
   SolveReport res;
-  FailureCursor cursor(schedule);
+  FailureInjector injector = make_injector(schedule, x, st.all());
   double rnorm0 = 0.0;
 
   for (int k = 0;; ++k) {
@@ -391,43 +404,12 @@ SolveReport PipelinedPcg::solve_depth1(const DistVector& b, DistVector& x,
     }
 
     // --- Failure injection point (backups of both generations in place). ---
-    const std::vector<int> evs = cursor.take_due(k);
-    if (!evs.empty()) {
-      if (opts_.phi == 0)
-        throw UnrecoverableFailure(
-            "node failure injected into a non-resilient pipelined solver");
-      // The posted reduction completes among the survivors before the
-      // reconstruction starts.
-      red.wait();
-      std::vector<NodeId> merged;
-      bool first = true;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        if (!first && ev.during_recovery) {
-          // Overlapping failure: charge the gathers performed so far for
-          // `merged` and drop factorizations the changed survivor structure
-          // invalidated, then restart with the union (as in the blocking
-          // engine).
-          const std::vector<Index> partial_rows = part.rows_of_set(merged);
-          (void)store_u_.gather_lost(cluster_, partial_rows);
-          (void)store_p_.gather_lost(cluster_, partial_rows);
-          if (opts_.esr.cache != nullptr)
-            (void)opts_.esr.cache->invalidate_overlapping(merged);
-        }
-        inject_failures(ev.nodes, x, st.all());
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        first = false;
-      }
-      RecoveryRecord rec;
-      rec.iteration = k;
-      rec.nodes = merged;
-      rec.stats = recover(merged, b, x, st);
-      res.recoveries.push_back(std::move(rec));
-      if (opts_.events.on_recovery_complete)
-        opts_.events.on_recovery_complete(res.recoveries.back());
-    }
+    // The posted reduction completes among the survivors before the
+    // reconstruction starts.
+    if (injector.due(k)) red.wait();
+    const std::vector<NodeId> failed = injector.inject_due(k);
+    if (!failed.empty())
+      injector.record_recovery(res, {k, failed, recover(failed, b, x, st)});
 
     red.wait();
     const double gamma = red.value(0);
@@ -467,12 +449,14 @@ SolveReport PipelinedPcg::solve_depth1(const DistVector& b, DistVector& x,
     double beta, alpha;
     if (k == 0) {
       beta = 0.0;
-      RPCG_REQUIRE(delta > 0.0, "matrix is not positive definite along u");
+      if (!(delta > 0.0))
+        throw DivergenceError("matrix is not positive definite along u");
       alpha = gamma / delta;
     } else {
       beta = gamma / st.gamma_prev;
       const double denom = delta - beta * gamma / st.alpha_prev;
-      RPCG_REQUIRE(denom > 0.0, "matrix is not positive definite along p");
+      if (!(denom > 0.0))
+        throw DivergenceError("matrix is not positive definite along p");
       alpha = gamma / denom;
     }
 
@@ -539,7 +523,7 @@ SolveReport PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
   };
 
   SolveReport res;
-  FailureCursor cursor(schedule);
+  FailureInjector injector = make_injector(schedule, x, st.all());
   double rnorm0 = 0.0;
 
   // Ring of the depth in-flight Gram reductions: H_k lands in slot
@@ -564,42 +548,19 @@ SolveReport PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
     }
 
     // --- Failure injection point (backups of all generations in place). ---
-    const std::vector<int> evs = cursor.take_due(k);
-    if (!evs.empty()) {
-      if (opts_.phi == 0)
-        throw UnrecoverableFailure(
-            "node failure injected into a non-resilient pipelined solver");
-      // Flush the pipeline: every in-flight reduction completes among the
-      // survivors before reconstruction — predicting across a recovery would
-      // mix pre- and post-failure bases.
+    // Flush the pipeline: every in-flight reduction completes among the
+    // survivors before reconstruction — predicting across a recovery would
+    // mix pre- and post-failure bases.
+    if (injector.due(k)) {
       for (RingEntry& e : ring) {
         e.red.wait();
         e.iteration = -1;
       }
-      std::vector<NodeId> merged;
-      bool first = true;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        if (!first && ev.during_recovery) {
-          const std::vector<Index> partial_rows = part.rows_of_set(merged);
-          (void)store_u_.gather_lost(cluster_, partial_rows);
-          (void)store_p_.gather_lost(cluster_, partial_rows);
-          if (opts_.esr.cache != nullptr)
-            (void)opts_.esr.cache->invalidate_overlapping(merged);
-        }
-        inject_failures(ev.nodes, x, st.all());
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        first = false;
-      }
-      RecoveryRecord rec;
-      rec.iteration = k;
-      rec.nodes = merged;
-      rec.stats = recover_deep(merged, b, x, st);
-      res.recoveries.push_back(std::move(rec));
-      if (opts_.events.on_recovery_complete)
-        opts_.events.on_recovery_complete(res.recoveries.back());
+    }
+    const std::vector<NodeId> failed = injector.inject_due(k);
+    if (!failed.empty()) {
+      injector.record_recovery(res,
+                               {k, failed, recover_deep(failed, b, x, st)});
       history.clear();
       // Re-post over the reconstructed basis; the next d iterations warm the
       // ring back up on direct (fully exposed) reductions.
@@ -714,12 +675,14 @@ SolveReport PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
     double beta, alpha;
     if (k == 0 || restarted) {
       beta = 0.0;
-      RPCG_REQUIRE(delta > 0.0, "matrix is not positive definite along u");
+      if (!(delta > 0.0))
+        throw DivergenceError("matrix is not positive definite along u");
       alpha = gamma / delta;
     } else {
       beta = gamma / st.gamma_prev;
       const double denom = delta - beta * gamma / st.alpha_prev;
-      RPCG_REQUIRE(denom > 0.0, "matrix is not positive definite along p");
+      if (!(denom > 0.0))
+        throw DivergenceError("matrix is not positive definite along p");
       alpha = gamma / denom;
     }
     history.push_back({beta, alpha});

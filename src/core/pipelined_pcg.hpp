@@ -26,6 +26,12 @@
 // first l-1 after every recovery, which flushes the in-flight ring — wait
 // their own reduction immediately (honestly fully exposed warmup).
 //
+// Depth 1 keeps its own loop (solve_depth1) instead of running the depth-l
+// loop with l = 1. That loop would post the whole nb = 8 basis (36 Gram
+// entries, not 3 scalars), and it computes m/n before the post, so no work
+// would hide the reduction. Both change the simulated times of depth-1
+// pipelined-resilient-pcg, which the benchmark's expected values pin.
+//
 // Resilience (phi >= 1) reuses the paper's ESR machinery end to end: the
 // node backup set grows from {p^(j), p^(j-1)} to also hold the depth+1 most
 // recent generations of u (the preconditioned residual seeds reconstruction,
@@ -44,7 +50,7 @@
 #include "core/backup_store.hpp"
 #include "core/esr.hpp"
 #include "core/events.hpp"
-#include "core/failure_schedule.hpp"
+#include "core/failure_injection.hpp"
 #include "core/redundancy.hpp"
 #include "core/resilient_pcg.hpp"  // PcgOptions, EsrOptions
 #include "precond/preconditioner.hpp"
@@ -114,8 +120,12 @@ class PipelinedPcg {
   struct LoopState;  // depth-1 recurrence vectors + replicated scalars
   struct DeepState;  // depth-l basis vectors + u-generation ring
 
-  void inject_failures(const std::vector<NodeId>& nodes, DistVector& x,
-                       std::vector<DistVector*> state);
+  /// The shared injection point over x plus the engine state `state`:
+  /// failures wipe both backup stores, and an overlapping failure charges
+  /// the gathers already performed for the nodes merged so far.
+  FailureInjector make_injector(const FailureSchedule& schedule,
+                                DistVector& x,
+                                std::vector<DistVector*> state);
 
   /// ESR recovery of the depth-1 pipelined state after the merged failure
   /// set `failed`: exact reconstruction of x/r/u/p (+ previous generations)

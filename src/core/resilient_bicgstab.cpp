@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/errors.hpp"
+#include "core/failure_injection.hpp"
 #include "sim/collectives.hpp"
 #include "util/check.hpp"
 
@@ -70,20 +71,15 @@ void ResilientBicgstab::recompute_lost_rows(std::span<const Index> rows,
   cluster_.charge(Phase::kRecovery, cluster_.comm().compute_cost(flops));
 }
 
-void ResilientBicgstab::recover(const std::vector<NodeId>& failed, double alpha,
-                                const DistVector& b,
-                                const DistVector& r0_pristine, DistVector& x,
-                                DistVector& r, DistVector& r0, DistVector& p,
-                                DistVector& v, DistVector& s, DistVector& t,
-                                DistVector& phat, DistVector& shat,
-                                std::vector<RecoveryRecord>& records,
-                                int iteration) {
+RecoveryStats ResilientBicgstab::recover(
+    const std::vector<NodeId>& failed, double alpha, const DistVector& b,
+    const DistVector& r0_pristine, DistVector& x, DistVector& r,
+    DistVector& r0, DistVector& p, DistVector& v, DistVector& s,
+    DistVector& t, DistVector& phat, DistVector& shat) {
   const Partition& part = cluster_.partition();
   const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
-  RecoveryRecord rec;
-  rec.iteration = iteration;
-  rec.nodes = failed;
-  rec.stats.psi = static_cast<int>(failed.size());
+  RecoveryStats stats;
+  stats.psi = static_cast<int>(failed.size());
 
   cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection/agreement
   for (const NodeId f : failed) cluster_.replace_node(f);
@@ -102,12 +98,12 @@ void ResilientBicgstab::recover(const std::vector<NodeId>& failed, double alpha,
   }
 
   const std::vector<Index> rows = part.rows_of_set(failed);
-  rec.stats.lost_rows = static_cast<Index>(rows.size());
+  stats.lost_rows = static_cast<Index>(rows.size());
 
   // Gather the redundant copies of p̂ and ŝ (current generation).
   const auto got_phat = store_phat_.gather_lost(cluster_, rows);
   const auto got_shat = store_shat_.gather_lost(cluster_, rows);
-  rec.stats.gathered_elements =
+  stats.gathered_elements =
       got_phat.elements_transferred / 2 + got_shat.elements_transferred / 2;
 
   // p_IF = M p̂_IF and s_IF = M ŝ_IF through the preconditioner (the same
@@ -131,8 +127,8 @@ void ResilientBicgstab::recover(const std::vector<NodeId>& failed, double alpha,
   std::vector<double> x_f(rows.size());
   const LocalSolveOutcome outcome =
       esr_solve_lost_x(cluster_, *a_global_, rows, r_f, b, x, x_f, opts_.esr);
-  rec.stats.local_solve_iterations = outcome.iterations;
-  rec.stats.local_solve_rel_residual = outcome.rel_residual;
+  stats.local_solve_iterations = outcome.iterations;
+  stats.local_solve_rel_residual = outcome.rel_residual;
 
   // Install the reconstructed blocks.
   std::size_t pos = 0;
@@ -160,8 +156,8 @@ void ResilientBicgstab::recover(const std::vector<NodeId>& failed, double alpha,
   store_phat_.re_arm(cluster_, sorted, phat, phat);
   store_shat_.re_arm(cluster_, sorted, shat, shat);
 
-  rec.stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t_before;
-  records.push_back(std::move(rec));
+  stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t_before;
+  return stats;
 }
 
 SolveReport ResilientBicgstab::solve(const DistVector& b, DistVector& x,
@@ -196,7 +192,16 @@ SolveReport ResilientBicgstab::solve(const DistVector& b, DistVector& x,
     return res;
   }
 
-  FailureCursor cursor(schedule);
+  FailureInjector injector(
+      schedule, {cluster_,
+                 {&x, &r, &r0, &p, &v, &s, &t, &phat, &shat},
+                 opts_.events,
+                 opts_.phi > 0,
+                 [this](NodeId f) {
+                   store_phat_.invalidate_node(f);
+                   store_shat_.invalidate_node(f);
+                 },
+                 {}});
   double rho_prev = 1.0, alpha = 1.0, omega = 1.0;
 
   for (int j = 0; j < opts_.max_iterations; ++j) {
@@ -239,27 +244,12 @@ SolveReport ResilientBicgstab::solve(const DistVector& b, DistVector& x,
     }
 
     // --- Failure injection point: copies of p̂ and ŝ are distributed. ---
-    const std::vector<int> evs = cursor.take_due(j);
-    if (!evs.empty()) {
-      RPCG_CHECK(opts_.phi > 0, "failures injected into a non-resilient solver");
-      std::vector<NodeId> merged;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        for (const NodeId f : ev.nodes) {
-          cluster_.fail_node(f);
-          for (DistVector* vec : {&x, &r, &r0, &p, &v, &s, &t, &phat, &shat})
-            vec->invalidate(f);
-          store_phat_.invalidate_node(f);
-          store_shat_.invalidate_node(f);
-        }
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-      }
-      recover(merged, alpha, b, r0_pristine, x, r, r0, p, v, s, t, phat, shat,
-              res.recoveries, j);
-      if (opts_.events.on_recovery_complete)
-        opts_.events.on_recovery_complete(res.recoveries.back());
+    const std::vector<NodeId> failed = injector.inject_due(j);
+    if (!failed.empty()) {
+      injector.record_recovery(
+          res, {j, failed,
+                recover(failed, alpha, b, r0_pristine, x, r, r0, p, v, s, t,
+                        phat, shat)});
     }
 
     const DotPair ts = dot_pair(cluster_, t, s, it);  // t·s and ||t||²

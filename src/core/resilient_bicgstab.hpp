@@ -63,11 +63,11 @@ class ResilientBicgstab {
   [[nodiscard]] const RedundancyScheme& redundancy() const { return scheme_; }
 
  private:
-  void recover(const std::vector<NodeId>& failed, double alpha,
-               const DistVector& b, const DistVector& r0_pristine, DistVector& x,
-               DistVector& r, DistVector& r0, DistVector& p, DistVector& v,
-               DistVector& s, DistVector& t, DistVector& phat, DistVector& shat,
-               std::vector<RecoveryRecord>& records, int iteration);
+  RecoveryStats recover(const std::vector<NodeId>& failed, double alpha,
+                        const DistVector& b, const DistVector& r0_pristine,
+                        DistVector& x, DistVector& r, DistVector& r0,
+                        DistVector& p, DistVector& v, DistVector& s,
+                        DistVector& t, DistVector& phat, DistVector& shat);
 
   // (A y)_IF recomputed on the replacement nodes: gathers the needed
   // surviving entries of y and multiplies the lost rows of A.

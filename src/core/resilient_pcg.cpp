@@ -1,13 +1,13 @@
 #include "core/resilient_pcg.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include <optional>
+#include <span>
+#include <utility>
 
+#include "core/blocking_pcg.hpp"
 #include "core/checkpoint.hpp"
 #include "core/factorization_cache.hpp"
 #include "core/interpolation_restart.hpp"
-#include "sim/collectives.hpp"
 #include "solver/pcg_kernel.hpp"
 #include "util/check.hpp"
 
@@ -56,201 +56,96 @@ ResilientPcg::ResilientPcg(Cluster& cluster, const CsrMatrix& a_global,
   }
 }
 
-void ResilientPcg::inject_failures(const std::vector<NodeId>& nodes,
-                                   std::vector<DistVector*> state) {
-  for (const NodeId f : nodes) {
-    cluster_.fail_node(f);
-    for (DistVector* v : state) v->invalidate(f);
-    if (opts_.phi > 0) store_.invalidate_node(f);
-  }
-}
-
 SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
                                 const FailureSchedule& schedule) {
-  RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
-             "all nodes must be alive at solve entry");
-  const Partition& part = cluster_.partition();
-  const SolveAccounting accounting(cluster_);
-
   PcgKernel kernel(cluster_, *a_, *m_);
-  const Phase it = Phase::kIteration;
-
-  // Line 1 of Alg. 1: r = b - A x, z = M^{-1} r, p = z. p_prev stays zero
-  // (p^(-1) = 0, consistent with beta^(-1) = 0 at a j = 0 failure).
-  const DotPair d0 = kernel.initialize(b, x, it);
-  const double rnorm0 = std::sqrt(d0.rr);
-
-  SolveReport res;
-  res.redundancy_overhead_per_iteration = redundancy_step_cost_;
-  CheckpointStorage ckpt;
-  int last_ckpt_saved_at = -1;
-  FailureCursor cursor(schedule);
   const EsrReconstructor reconstructor(*a_global_, *m_, opts_.esr);
+  CheckpointStore ckpt;
+  // The checkpoint/restart baseline's store access: all nodes move their 4
+  // blocks concurrently, so the largest block decides.
+  const double ckpt_access = cluster_.comm().storage_cost(
+      4 * cluster_.partition().max_block_size());
 
-  bool done = rnorm0 == 0.0;
-  if (done) res.converged = true;
-
-  int j = 0;
-  while (!done && j < opts_.pcg.max_iterations) {
-    // Checkpoint/restart baseline: periodic state save at the loop top.
-    if (opts_.method == RecoveryMethod::kCheckpointRestart &&
-        j % opts_.checkpoint_interval == 0 && j != last_ckpt_saved_at) {
-      ckpt.save(cluster_, j, x, kernel.r, kernel.z, kernel.p, kernel.rz,
-                kernel.beta_prev);
-      last_ckpt_saved_at = j;
-      ++res.checkpoints_written;
-      if (opts_.events.on_checkpoint)
-        opts_.events.on_checkpoint({j, res.checkpoints_written - 1});
-    }
-
-    // Lines 3/5 SpMV: u = A p. With ESR, the redundant copies of p^(j) are
-    // piggybacked on this exchange and every receiver retains two
-    // generations (the backup store rotates cur -> prev).
-    kernel.spmv_direction(it);
-    if (opts_.phi > 0) {
-      store_.record(kernel.p);
-      cluster_.charge(Phase::kRedundancy, redundancy_step_cost_);
-    }
-
-    // --- Failure injection point (backups of p^(j), p^(j-1) in place). ---
-    const std::vector<int> evs = cursor.take_due(j);
-
-    bool skip_update = false;
-    if (!evs.empty()) {
-      switch (opts_.method) {
-        case RecoveryMethod::kNone:
-          throw UnrecoverableFailure(
-              "node failure injected into a non-resilient solver");
-        case RecoveryMethod::kEsr: {
-          std::vector<NodeId> merged;
-          bool first = true;
-          for (const int idx : evs) {
-            const FailureEvent& ev = cursor.event(idx);
-            if (!first && ev.during_recovery) {
-              // Overlapping failure: the reconstruction of `merged` was
-              // underway. Charge the work performed so far (the gather, its
-              // dominant communication part), discard its cached
-              // factorizations — the surviving block structure changed under
-              // them — and restart with the union.
-              (void)store_.gather_lost(cluster_, part.rows_of_set(merged));
-              if (opts_.esr.cache != nullptr)
-                (void)opts_.esr.cache->invalidate_overlapping(merged);
-            }
-            inject_failures(ev.nodes, kernel.state_vectors(x));
-            if (opts_.events.on_failure_injected)
-              opts_.events.on_failure_injected(ev);
-            merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-            first = false;
-          }
-          RecoveryRecord rec;
-          rec.iteration = j;
-          rec.nodes = merged;
-          rec.stats = reconstructor.recover(cluster_, merged, store_,
-                                            kernel.beta_prev, b, x, kernel.r,
-                                            kernel.z, kernel.p, kernel.p_prev);
-          res.recoveries.push_back(std::move(rec));
-          if (opts_.events.on_recovery_complete)
-            opts_.events.on_recovery_complete(res.recoveries.back());
-          // Resume iteration j: recompute u = A p on the recovered state.
-          for (const NodeId f : merged) kernel.u.revalidate_zero(f);
-          kernel.spmv_direction(Phase::kRecovery);
-          break;
-        }
-        case RecoveryMethod::kCheckpointRestart: {
-          std::vector<NodeId> merged;
-          for (const int idx : evs) {
-            const FailureEvent& ev = cursor.event(idx);
-            inject_failures(ev.nodes, kernel.state_vectors(x));
-            if (opts_.events.on_failure_injected)
-              opts_.events.on_failure_injected(ev);
-            merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-          }
-          cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection
-          for (const NodeId f : merged) cluster_.replace_node(f);
-          const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
-          ckpt.restore(cluster_, x, kernel.r, kernel.z, kernel.p, kernel.rz,
-                       kernel.beta_prev);
-          for (const NodeId f : merged) {
-            kernel.u.revalidate_zero(f);
-            kernel.p_prev.revalidate_zero(f);  // rebuilt before it is needed again
-          }
-          RecoveryRecord rec;
-          rec.iteration = j;
-          rec.nodes = merged;
-          rec.stats.psi = static_cast<int>(merged.size());
-          rec.stats.lost_rows = static_cast<Index>(part.rows_of_set(merged).size());
-          rec.stats.sim_seconds =
-              cluster_.clock().in_phase(Phase::kRecovery) - t0;
-          res.recoveries.push_back(std::move(rec));
-          if (opts_.events.on_recovery_complete)
-            opts_.events.on_recovery_complete(res.recoveries.back());
-          res.rolled_back_iterations += j - ckpt.iteration();
-          j = ckpt.iteration();
-          skip_update = true;
-          break;
-        }
-        case RecoveryMethod::kInterpolationRestart: {
-          std::vector<NodeId> merged;
-          for (const int idx : evs) {
-            const FailureEvent& ev = cursor.event(idx);
-            inject_failures(ev.nodes, kernel.state_vectors(x));
-            if (opts_.events.on_failure_injected)
-              opts_.events.on_failure_injected(ev);
-            merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-          }
-          RecoveryRecord rec;
-          rec.iteration = j;
-          rec.nodes = merged;
-          rec.stats = interpolation_restart_recover(cluster_, *a_global_,
-                                                    merged, b, x, opts_.esr);
-          res.recoveries.push_back(std::move(rec));
-          if (opts_.events.on_recovery_complete)
-            opts_.events.on_recovery_complete(res.recoveries.back());
-          // Restart CG from the interpolated iterate: the Krylov history is
-          // lost (r, z, p rebuilt from scratch).
-          for (const NodeId f : merged) {
-            kernel.r.revalidate_zero(f);
-            kernel.z.revalidate_zero(f);
-            kernel.p.revalidate_zero(f);
-            kernel.p_prev.revalidate_zero(f);
-            kernel.u.revalidate_zero(f);
-          }
-          (void)kernel.initialize(b, x, Phase::kRecovery);
-          kernel.beta_prev = 0.0;
-          skip_update = true;
-          break;
-        }
-      }
-    }
-    if (skip_update) continue;
-
-    // Lines 3-8 of Alg. 1.
-    const double pap = kernel.direction_curvature(it);
-    const double alpha = kernel.rz / pap;
-    kernel.descend(alpha, x, it);
-    const DotPair d = kernel.precondition(it);
-    ++res.iterations;
-    res.rel_residual = std::sqrt(d.rr) / rnorm0;
-    res.solver_residual_norm = std::sqrt(d.rr);
-    if (opts_.events.on_iteration) {
-      IterationSnapshot snap;
-      snap.iteration = res.iterations;
-      snap.rel_residual = res.rel_residual;
-      snap.x = &x;
-      snap.r = &kernel.r;
-      snap.z = &kernel.z;
-      snap.p = &kernel.p;
-      opts_.events.on_iteration(snap);
-    }
-    if (res.rel_residual <= opts_.pcg.rtol) {
-      res.converged = true;
+  BlockingPcgStrategy s;
+  switch (opts_.method) {
+    case RecoveryMethod::kNone:
       break;
-    }
-    kernel.advance_direction(d, /*track_prev=*/true, it);
-    ++j;
+    case RecoveryMethod::kEsr:
+      // Exact state reconstruction (Alg. 2): the phi redundant copies of
+      // p^(j) are piggybacked on the SpMV and every receiver retains two
+      // generations (the backup store rotates cur -> prev).
+      s.keep_previous_direction = true;
+      s.after_spmv = [&] {
+        store_.record(kernel.p);
+        cluster_.charge(Phase::kRedundancy, redundancy_step_cost_);
+      };
+      s.invalidate_node = [&](NodeId f) { store_.invalidate_node(f); };
+      s.charge_aborted = [&](std::span<const NodeId> merged) {
+        // The gather for `merged` (the dominant communication part of the
+        // reconstruction) was underway; its cached factorizations are stale
+        // — the surviving block structure changed under them.
+        (void)store_.gather_lost(cluster_,
+                                 cluster_.partition().rows_of_set(merged));
+        if (opts_.esr.cache != nullptr)
+          (void)opts_.esr.cache->invalidate_overlapping(merged);
+      };
+      s.recover = [&](int, std::span<const NodeId> failed,
+                      RecoveryStats& stats) -> std::optional<int> {
+        stats = reconstructor.recover(cluster_, failed, store_,
+                                      kernel.beta_prev, b, x, kernel.r,
+                                      kernel.z, kernel.p, kernel.p_prev);
+        // Resume iteration j: recompute u = A p on the recovered state.
+        for (const NodeId f : failed) kernel.u.revalidate_zero(f);
+        kernel.spmv_direction(Phase::kRecovery);
+        return std::nullopt;
+      };
+      break;
+    case RecoveryMethod::kCheckpointRestart:
+      // The full state {x, r, z, p, rz, beta_prev} goes to reliable storage
+      // every interval; a failure rolls every node back to it.
+      s.checkpoint_interval = opts_.checkpoint_interval;
+      s.save_checkpoint = [&](int j) {
+        ckpt.save(j, {&x, &kernel.r, &kernel.z, &kernel.p},
+                  {kernel.rz, kernel.beta_prev});
+        cluster_.charge(Phase::kCheckpoint, ckpt_access);
+      };
+      s.recover = [&](int, std::span<const NodeId> failed,
+                      RecoveryStats& stats) -> std::optional<int> {
+        cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection
+        for (const NodeId f : failed) cluster_.replace_node(f);
+        const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
+        ckpt.restore({&x, &kernel.r, &kernel.z, &kernel.p},
+                     {&kernel.rz, &kernel.beta_prev});
+        cluster_.charge(Phase::kRecovery, ckpt_access);
+        for (const NodeId f : failed) {
+          kernel.u.revalidate_zero(f);
+          kernel.p_prev.revalidate_zero(f);  // never read
+        }
+        stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
+        return ckpt.iteration();
+      };
+      break;
+    case RecoveryMethod::kInterpolationRestart:
+      s.recover = [&](int j, std::span<const NodeId> failed,
+                      RecoveryStats& stats) -> std::optional<int> {
+        stats = interpolation_restart_recover(cluster_, *a_global_, failed, b,
+                                              x, opts_.esr);
+        // Restart CG from the interpolated iterate: the Krylov history is
+        // lost (r, z, p rebuilt from scratch).
+        for (const NodeId f : failed) {
+          for (DistVector* v :
+               {&kernel.r, &kernel.z, &kernel.p, &kernel.p_prev, &kernel.u})
+            v->revalidate_zero(f);
+        }
+        (void)kernel.initialize(b, x, Phase::kRecovery);
+        kernel.beta_prev = 0.0;
+        return j;
+      };
+      break;
   }
-
-  accounting.close(*a_, b, x, res);
+  SolveReport res =
+      run_blocking_pcg(kernel, b, x, schedule, opts_.pcg, opts_.events, s);
+  res.redundancy_overhead_per_iteration = redundancy_step_cost_;
   return res;
 }
 

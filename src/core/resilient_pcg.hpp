@@ -11,7 +11,6 @@
 
 #include <array>
 #include <utility>
-#include <vector>
 
 #include "core/backup_store.hpp"
 #include "core/esr.hpp"
@@ -97,9 +96,6 @@ class ResilientPcg {
   ResilientPcg(Cluster& cluster, const CsrMatrix& a_global,
                MaybeOwned<DistMatrix> a, const Preconditioner& m,
                ResilientPcgOptions opts);
-
-  void inject_failures(const std::vector<NodeId>& nodes,
-                       std::vector<DistVector*> state);
 
   Cluster& cluster_;
   const CsrMatrix* a_global_;

@@ -13,8 +13,6 @@
 // (= N/2) produces schedules that respect exactly this constraint.
 #pragma once
 
-#include <vector>
-
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/solve_report.hpp"
@@ -57,21 +55,12 @@ class TwinPcg {
   }
 
  private:
-  /// Updates the mirror snapshot from the live state and charges one
-  /// buddy-push round to `phase`.
-  void sync_mirror(const DistVector& x, const DistVector& r,
-                   const DistVector& p, Phase phase, double cost);
-
   Cluster& cluster_;
   const CsrMatrix* a_global_;
   const DistMatrix* a_;
   const Preconditioner* m_;
   TwinPcgOptions opts_;
   double sync_cost_ = 0.0;
-  // Mirror of the loop-top state {x, r, p}: node i's blocks live on
-  // buddy_of(i). Host-side the mirror is three global snapshots; the
-  // simulated placement only matters for the coverage check and charges.
-  std::vector<double> mx_, mr_, mp_;
 };
 
 }  // namespace rpcg

@@ -1,6 +1,6 @@
 #include "solver/pcg_kernel.hpp"
 
-#include "util/check.hpp"
+#include "core/errors.hpp"
 
 namespace rpcg {
 
@@ -33,7 +33,8 @@ void PcgKernel::spmv_direction(Phase phase) {
 
 double PcgKernel::direction_curvature(Phase phase) {
   const double pap = dot(*cluster_, p, u, phase);
-  RPCG_REQUIRE(pap > 0.0, "matrix is not positive definite along p");
+  if (!(pap > 0.0))
+    throw DivergenceError("matrix is not positive definite along p");
   return pap;
 }
 

@@ -1,12 +1,13 @@
 // The shared iteration state and recurrence steps of the blocking PCG
-// family. solver/pcg.cpp (reference, non-resilient) and
-// core/resilient_pcg.cpp (ESR/checkpoint/interpolation engine) execute the
-// exact same Alg. 1 iteration; this kernel is that iteration, factored out
-// once so the two solvers — and tests that compare them bit-for-bit —
-// cannot drift apart. The kernel owns the workspace vectors and the
-// replicated scalars; orchestration (convergence bookkeeping, failure
-// injection, recovery, events) stays with the calling solver, which reaches
-// the state through the public members.
+// family. Two loops drive it: solver/pcg.cpp (pcg_solve, the non-resilient
+// reference the tests compare against) and core/blocking_pcg.cpp
+// (run_blocking_pcg, the one resilient loop behind every resilient-pcg
+// method, checkpoint-recovery and twin-pcg). Both execute the exact same
+// Alg. 1 iteration through this kernel, so they — and the tests that
+// compare them bit-for-bit — cannot drift apart. The kernel owns the
+// workspace vectors and the replicated scalars; orchestration (convergence
+// bookkeeping, failure injection, recovery, events) stays with the loop,
+// which reaches the state through the public members.
 //
 // Every method charges exactly the operations it names, in a fixed order —
 // the clock-advance sequence is part of the contract (bit-for-bit
@@ -38,7 +39,8 @@ class PcgKernel {
   /// u = A p (line 3/5 SpMV).
   void spmv_direction(Phase phase);
 
-  /// p^T A p; requires positive definiteness along p.
+  /// p^T A p; throws DivergenceError unless it is positive (A is not
+  /// positive definite along p).
   [[nodiscard]] double direction_curvature(Phase phase);
 
   /// x += alpha p; r -= alpha A p.
@@ -64,7 +66,6 @@ class PcgKernel {
 
   [[nodiscard]] Cluster& cluster() { return *cluster_; }
   [[nodiscard]] const DistMatrix& matrix() const { return *a_; }
-  [[nodiscard]] const Preconditioner& preconditioner() const { return *m_; }
 
  private:
   Cluster* cluster_;

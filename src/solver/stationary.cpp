@@ -4,7 +4,8 @@
 #include <cmath>
 #include <map>
 
-#include "core/backup_store.hpp"  // UnrecoverableFailure
+#include "core/errors.hpp"
+#include "core/failure_injection.hpp"
 #include "sim/collectives.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -227,7 +228,16 @@ SolveReport ResilientStationary::solve(const DistVector& b, DistVector& x,
     return res;
   }
 
-  FailureCursor cursor(schedule);
+  FailureInjector injector(
+      schedule, {cluster_,
+                 {&x, &resid},
+                 opts_.events,
+                 opts_.phi > 0,
+                 [this](NodeId f) {
+                   for (const int id : retained_by_dst_[static_cast<std::size_t>(f)])
+                     retained_[static_cast<std::size_t>(id)].valid = false;
+                 },
+                 {}});
   const double sweep_flops_base = sweep_flops_scale_;
 
   for (int j = 0; j < opts_.max_iterations; ++j) {
@@ -239,37 +249,18 @@ SolveReport ResilientStationary::solve(const DistVector& b, DistVector& x,
     }
 
     // Failure injection point: x's copies are distributed.
-    const std::vector<int> evs = cursor.take_due(j);
-    if (!evs.empty()) {
-      RPCG_CHECK(opts_.phi > 0, "failures injected into a non-resilient solver");
-      std::vector<NodeId> merged;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        for (const NodeId f : ev.nodes) {
-          cluster_.fail_node(f);
-          x.invalidate(f);
-          resid.invalidate(f);
-          for (const int id : retained_by_dst_[static_cast<std::size_t>(f)])
-            retained_[static_cast<std::size_t>(id)].valid = false;
-        }
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-      }
+    const std::vector<NodeId> failed = injector.inject_due(j);
+    if (!failed.empty()) {
       const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
-      recover(merged, x);
+      recover(failed, x);
       resid.set_zero();
       // Redo the halo exchange on the recovered iterate.
       execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kRecovery);
-      RecoveryRecord rec;
-      rec.iteration = j;
-      rec.nodes = merged;
-      rec.stats.psi = static_cast<int>(merged.size());
-      rec.stats.lost_rows = static_cast<Index>(part.rows_of_set(merged).size());
-      rec.stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
-      res.recoveries.push_back(std::move(rec));
-      if (opts_.events.on_recovery_complete)
-        opts_.events.on_recovery_complete(res.recoveries.back());
+      RecoveryStats stats;
+      stats.psi = static_cast<int>(failed.size());
+      stats.lost_rows = static_cast<Index>(part.rows_of_set(failed).size());
+      stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
+      injector.record_recovery(res, {j, failed, stats});
     }
 
     // One sweep per node (embarrassingly parallel given the halo).

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/errors.hpp"
 #include "sparse/generators.hpp"
 #include "test_util.hpp"
 
@@ -157,7 +158,7 @@ TEST(Bicgstab, FailuresWithoutRedundancyThrow) {
   ResilientBicgstab solver(cluster, p.a, p.dist, *m, options_with(0));
   DistVector x(p.part);
   EXPECT_THROW((void)solver.solve(p.b, x, FailureSchedule::contiguous(1, 0, 1)),
-               std::invalid_argument);
+               UnrecoverableFailure);
 }
 
 TEST(Bicgstab, IterativeLocalSolveAlsoWorks) {

@@ -10,17 +10,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/errors.hpp"
+#include "engine/registry.hpp"
 #include "service/fault_injection.hpp"
 #include "service/job.hpp"
 #include "service/json_value.hpp"
 #include "service/retry.hpp"
 #include "service/solver_service.hpp"
+#include "sparse/matrix_market.hpp"
 
 namespace {
 
@@ -239,6 +243,79 @@ TEST(Classification, InvalidJobIsNotRetried) {
   // The registry rejection is config-shaped: one attempt, no retries.
   ASSERT_EQ(run.jobs[0].attempts.size(), 1u);
   EXPECT_EQ(run.retries, 0u);
+}
+
+/// A failure injected into a solver that carries no redundancy is an
+/// unrecoverable failure (retryable, escalatable), whichever engine it hits
+/// — not an invalid job.
+TEST(Classification, FailuresWithoutRedundancyAreUnrecoverable) {
+  const std::vector<JobSpec> jobs = parse_jobs(
+      R"({"name": "pcg-none", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "none", "failures": [{"iteration": 2, "first": 1, "psi": 1}]}
+{"name": "pipe-phi0", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pipelined-resilient-pcg", "phi": 0, "failures": [{"iteration": 2, "first": 1, "psi": 1}]}
+{"name": "bicgstab-phi0", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-bicgstab", "phi": 0, "failures": [{"iteration": 2, "first": 1, "psi": 1}]}
+{"name": "stationary-phi0", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "stationary", "phi": 0, "failures": [{"iteration": 2, "first": 1, "psi": 1}]})");
+  ServiceOptions opts;
+  opts.workers = 2;
+  const ServiceReport run = SolverService(opts).run(jobs);
+  ASSERT_EQ(run.jobs.size(), jobs.size());
+  EXPECT_EQ(run.failed, jobs.size());
+  for (const JobResult& job : run.jobs) {
+    EXPECT_EQ(job.error_class, ErrorClass::kUnrecoverableFailure)
+        << job.name << ": " << job.error;
+  }
+}
+
+/// A 64-row indefinite tridiagonal matrix (diagonal 1, off-diagonals 2) in
+/// Matrix Market form: CG-family iterations break down on it.
+std::string indefinite_tridiagonal_mtx() {
+  std::ostringstream out;
+  out << "%%MatrixMarket matrix coordinate real symmetric\n64 64 127\n";
+  for (int i = 1; i <= 64; ++i) {
+    out << i << " " << i << " 1\n";
+    if (i < 64) out << i + 1 << " " << i << " 2\n";
+  }
+  return out.str();
+}
+
+/// The error class a solve on the indefinite matrix ends with, or nullopt
+/// when it returns normally.
+std::optional<ErrorClass> breakdown_class(const std::string& solver,
+                                          int pipeline_depth) {
+  std::istringstream mtx(indefinite_tridiagonal_mtx());
+  rpcg::engine::Problem problem = rpcg::engine::ProblemBuilder()
+                                      .matrix(rpcg::read_matrix_market(mtx))
+                                      .nodes(4)
+                                      .preconditioner("none")
+                                      .build();
+  rpcg::engine::SolverConfig config;
+  config.pipeline_depth = pipeline_depth;
+  rpcg::DistVector x = problem.make_x();
+  try {
+    (void)rpcg::engine::SolverRegistry::instance()
+        .create(solver, config)
+        ->solve(problem, x);
+  } catch (const std::exception& e) {
+    return rpcg::classify_exception(e);
+  }
+  return std::nullopt;
+}
+
+TEST(Classification, CgBreakdownsAreDivergence) {
+  for (const char* solver :
+       {"pcg", "resilient-pcg", "checkpoint-recovery", "twin-pcg"}) {
+    EXPECT_EQ(breakdown_class(solver, 1), ErrorClass::kDivergence) << solver;
+  }
+  for (const char* solver : {"pipelined-pcg", "pipelined-resilient-pcg"}) {
+    for (const int depth : {1, 2}) {
+      EXPECT_EQ(breakdown_class(solver, depth), ErrorClass::kDivergence)
+          << solver << " depth " << depth;
+    }
+  }
+  // These converge on the matrix; whatever they do, a data-dependent
+  // outcome is never an internal error.
+  for (const char* solver : {"pipelined-cr", "resilient-bicgstab"}) {
+    EXPECT_NE(breakdown_class(solver, 1), ErrorClass::kInternal) << solver;
+  }
 }
 
 // ---- budgets -------------------------------------------------------------

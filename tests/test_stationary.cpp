@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/backup_store.hpp"
+#include "core/errors.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ldlt.hpp"
 #include "test_util.hpp"
@@ -152,7 +153,7 @@ TEST(Stationary, UnrecoverableWithoutRedundancy) {
                              options_for(StationaryMethod::kJacobi, 0.8, 0));
   DistVector x(p.part);
   EXPECT_THROW((void)solver.solve(p.b, x, FailureSchedule::contiguous(2, 0, 1)),
-               std::invalid_argument);
+               UnrecoverableFailure);
 }
 
 TEST(Stationary, SequentialFailures) {
