@@ -14,6 +14,7 @@
 #include "repro/matrices.hpp"
 #include "sim/collectives.hpp"
 #include "sim/dist_matrix.hpp"
+#include "sparse/amd.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/ldlt.hpp"
@@ -89,6 +90,29 @@ void BM_LdltAutoSelectedSolve(benchmark::State& state) {
   state.counters["l_nnz"] = static_cast<double>(f->l_nnz());
 }
 BENCHMARK(BM_LdltAutoSelectedSolve)->Arg(1)->Arg(2);
+
+// The numeric factorization of one ESR lost block: the first failure wave
+// of the recovery-bound benchmark workload (M2 scale 24, nodes 32..39 of 64
+// fail together; n = 1352, about 2.1e5 entries in L, widest supernode 538
+// columns), in the AMD ordering ReorderedLdlt selects for it. The GFLOP
+// rate counts factor_flops(), the flops the cost model charges.
+void BM_LdltLostBlockFactor(benchmark::State& state) {
+  const auto m = repro::make_matrix(2, 24.0);
+  const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+  const std::vector<NodeId> failed{32, 33, 34, 35, 36, 37, 38, 39};
+  const std::vector<Index> rows = part.rows_of_set(failed);
+  const CsrMatrix block = m.matrix.submatrix(rows, rows);
+  const CsrMatrix a = block.permuted_symmetric(amd_ordering(block));
+  double flops = 0.0;
+  for (auto _ : state) {
+    auto f = SparseLdlt::factor(a);
+    benchmark::DoNotOptimize(f->l_nnz());
+    flops = f->factor_flops();
+  }
+  state.counters["GFLOP"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_LdltLostBlockFactor)->Unit(benchmark::kMillisecond);
 
 void BM_SeqSpmv(benchmark::State& state) {
   const CsrMatrix a = bench_matrix();

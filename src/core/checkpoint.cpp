@@ -37,8 +37,14 @@ double CheckpointCostModel::read_cost(const CommModel& comm,
 void CheckpointStore::save(int iteration,
                            std::initializer_list<const DistVector*> vectors,
                            std::initializer_list<double> scalars) {
-  vectors_.clear();
-  for (const DistVector* v : vectors) vectors_.push_back(v->gather_global());
+  // Gather into the previous snapshot's buffers: solvers that snapshot
+  // every iteration (twin-pcg's mirror) allocate nothing in steady state.
+  vectors_.resize(vectors.size());
+  auto saved = vectors_.begin();
+  for (const DistVector* v : vectors) {
+    saved->resize(static_cast<std::size_t>(v->n()));
+    v->gather_global(*saved++);
+  }
   scalars_.assign(scalars);
   iter_ = iteration;
 }

@@ -59,12 +59,17 @@ double DistVector::value(Index global) const {
 
 std::vector<double> DistVector::gather_global() const {
   std::vector<double> out(static_cast<std::size_t>(n()));
+  gather_global(out);
+  return out;
+}
+
+void DistVector::gather_global(std::span<double> out) const {
+  RPCG_CHECK(static_cast<Index>(out.size()) == n(), "size mismatch");
   for (NodeId i = 0; i < partition_->num_nodes(); ++i) {
     const auto b = block(i);
     std::copy(b.begin(), b.end(),
               out.begin() + static_cast<std::ptrdiff_t>(partition_->begin(i)));
   }
-  return out;
 }
 
 void DistVector::set_global(std::span<const double> values) {

@@ -48,6 +48,10 @@ class DistVector {
   /// Gathers the full vector (diagnostics/tests; all blocks must be valid).
   [[nodiscard]] std::vector<double> gather_global() const;
 
+  /// Gathers the full vector into caller storage of size n() (snapshots
+  /// that reuse their buffers).
+  void gather_global(std::span<double> out) const;
+
   /// Scatters a full vector into the blocks (marks all blocks valid).
   void set_global(std::span<const double> values);
 

@@ -30,7 +30,7 @@ std::optional<DenseCholesky> DenseCholesky::factor(const DenseMatrix& a) {
   for (Index j = 0; j < n; ++j) {
     double d = a(j, j);
     for (Index k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
-    if (d <= 0.0) return std::nullopt;
+    if (!(d > 0.0)) return std::nullopt;  // also rejects NaN
     l(j, j) = std::sqrt(d);
     for (Index i = j + 1; i < n; ++i) {
       double s = a(i, j);

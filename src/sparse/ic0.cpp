@@ -61,7 +61,7 @@ std::optional<CsrMatrix> try_factor(const CsrMatrix& a, double shift) {
     double s = diag;
     for (Index p = row_start; p < static_cast<Index>(ci.size()); ++p)
       s -= v[static_cast<std::size_t>(p)] * v[static_cast<std::size_t>(p)];
-    if (s <= 0.0) return std::nullopt;
+    if (!(s > 0.0)) return std::nullopt;  // also rejects NaN
     ci.push_back(k);
     v.push_back(std::sqrt(s));
     rp.push_back(static_cast<Index>(ci.size()));

@@ -1,20 +1,29 @@
-// Sparse LDLᵀ factorization: simplicial (elimination-tree based, up-looking)
-// numeric factorization with an optional supernodal solve layer, behind a
-// pluggable fill-reducing ordering. Provides the *exact* local solves the
-// library needs:
+// Sparse LDLᵀ factorization: supernodal left-looking numeric factorization
+// with a supernodal or scalar solve layout, behind a pluggable
+// fill-reducing ordering. Provides the *exact* local solves the library
+// needs:
 //   * block Jacobi preconditioner blocks are "solved exactly" (paper Sec. 6),
 //   * the explicit-P variant of Alg. 2 solves P_{If,If} r_{If} = v exactly,
 //   * the accuracy ablation solves A_{If,If} x_{If} = w directly instead of
 //     iteratively.
-// The factorization follows the classical LDL approach of Davis (elimination
-// tree + per-row pattern via tree walks), reimplemented from the textbook
-// description. After the numeric pass, maximal sets of contiguous columns
-// sharing one sub-diagonal pattern (exact supernodes) are packed into dense
-// panels; solves then run blocked forward/diagonal/backward sweeps over the
-// panels — cache-friendly, auto-vectorizable — instead of scalar per-column
-// sweeps. Exact supernodes store no padding zeros, so the flop accounting is
-// identical either way and sim-model times shift only with the *ordering*
-// (real work), never with the storage format.
+// Symbolic analysis first (Davis, "Direct Methods for Sparse Linear
+// Systems", ch. 4): the elimination tree, the column counts of L in
+// O(|A| log n), and from them the exact supernodes — maximal runs of
+// contiguous columns sharing one sub-diagonal pattern — and their row
+// structure. The numeric pass then runs over supernodes in the style of
+// CHOLMOD, in place in the column-wise storage of L: each gathers its
+// descendants' updates with a register-tiled dense kernel scattered through
+// a relative row map, and factors its diagonal block and the panel below it
+// densely. Every entry takes its updates one product at a time in ascending
+// column order, so where the elimination tree is a path (banded factors)
+// the factor is bit for bit that of a scalar up-looking factorization
+// (Davis, sec. 4.7), and elsewhere it differs from it in rounding only.
+// Solves run blocked forward/diagonal/backward sweeps over dense panels of
+// the wide supernodes — cache-friendly, auto-vectorizable — and scalar
+// per-column sweeps elsewhere. Exact supernodes store no padding zeros, so
+// the flop accounting is identical either way and sim-model times shift
+// only with the *ordering* (real work), never with the kernels or the
+// storage format.
 #pragma once
 
 #include <optional>
@@ -34,17 +43,19 @@ enum class LdltOrdering { kNatural, kRcm, kAmd };
 class SparseLdlt {
  public:
   /// Factorizes the SPD matrix A (full symmetric storage, sorted rows).
-  /// Returns std::nullopt if a nonpositive pivot arises (A not numerically
-  /// positive definite). With `supernodal` (the default) the factor is
-  /// post-processed into dense supernode panels when the detected supernodes
-  /// are wide enough to pay off; pass false to force the scalar column
-  /// sweeps (micro-benches and equivalence tests).
+  /// Returns std::nullopt if a pivot is not positive (A not numerically
+  /// positive definite, or NaN). `supernodal` selects only the solve
+  /// layout: with it (the default) the supernodes wide enough to pay off
+  /// are also packed into dense solve panels; pass false to force the
+  /// scalar column sweeps (micro-benches and equivalence tests). The
+  /// factor itself is the same either way.
   [[nodiscard]] static std::optional<SparseLdlt> factor(const CsrMatrix& a,
                                                         bool supernodal = true);
 
   /// Symbolic-only fill count: the number of entries L would have (excluding
-  /// the unit diagonal). Cheap (one elimination-tree pass, no numerics);
-  /// used to choose between candidate orderings before factorizing once.
+  /// the unit diagonal). Cheap (elimination tree and column counts in
+  /// O(|A| log n), no numerics, L never formed); used to choose between
+  /// candidate orderings before factorizing once.
   [[nodiscard]] static Index symbolic_nnz(const CsrMatrix& a);
 
   /// Solves A x = b in place (b becomes x).
@@ -56,15 +67,16 @@ class SparseLdlt {
   [[nodiscard]] Index dim() const { return n_; }
 
   /// Number of stored entries of L (excluding the unit diagonal). Identical
-  /// between the simplicial and supernodal representations: exact supernodes
-  /// add no padding.
+  /// between the scalar and supernodal solve layouts: exact supernodes add
+  /// no padding.
   [[nodiscard]] Index l_nnz() const { return static_cast<Index>(li_.size()); }
 
   /// True when solves run (at least partly) over packed supernode panels.
   [[nodiscard]] bool supernodal() const { return !blk_first_.empty(); }
 
-  /// Number of detected supernodes (groups of contiguous columns with one
-  /// shared sub-diagonal pattern); n_ when every supernode is a singleton.
+  /// Number of supernodes (groups of contiguous columns with one shared
+  /// sub-diagonal pattern); n_ when every supernode is a singleton. Found
+  /// symbolically, so independent of the solve layout.
   [[nodiscard]] Index num_supernodes() const { return num_supernodes_; }
 
   /// Width of the widest detected supernode (1 for a factor with no
@@ -77,14 +89,15 @@ class SparseLdlt {
     return 4.0 * static_cast<double>(l_nnz()) + static_cast<double>(n_);
   }
 
-  /// Flops spent in the numeric factorization (cost model for the local
-  /// solves set up during reconstruction).
+  /// Flops charged for the numeric factorization (cost model for the local
+  /// solves set up during reconstruction): Σ c(c-1) + 4c over the column
+  /// counts c of L, so independent of the numeric kernel.
   [[nodiscard]] double factor_flops() const { return factor_flops_; }
 
  private:
   SparseLdlt() = default;
 
-  void build_supernodes();
+  void pack_panels(const std::vector<Index>& first);
   void solve_in_place_simplicial(std::span<double> b) const;
   void solve_in_place_supernodal(std::span<double> b) const;
 
@@ -119,7 +132,7 @@ class SparseLdlt {
 
 /// LDLᵀ behind a fill-reducing symmetric permutation.
 ///
-/// Simplicial LDLᵀ in the natural ordering is catastrophic for the banded
+/// LDLᵀ in the natural ordering is catastrophic for the banded
 /// node blocks this library factorizes (a 4x256 grid strip of the M1 FEM
 /// matrix fills to ~200k entries; RCM brings it to ~4k), and RCM in turn
 /// barely helps random-pattern blocks (M2-style), where the fill-targeting
@@ -134,7 +147,7 @@ class ReorderedLdlt {
  public:
   [[nodiscard]] static std::optional<ReorderedLdlt> factor(const CsrMatrix& a);
 
-  /// Forces one ordering candidate (and optionally the scalar kernel)
+  /// Forces one ordering candidate (and optionally the scalar solve layout)
   /// instead of selecting by symbolic fill — the measurement hook for the
   /// micro-benches and the ordering property tests.
   [[nodiscard]] static std::optional<ReorderedLdlt> factor_with(

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/backup_store.hpp"  // UnrecoverableFailure
+#include "core/checkpoint.hpp"
 #include "core/checkpoint_recovery.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/generators.hpp"
@@ -275,6 +276,48 @@ TEST(CheckpointCostModel, NegativeFieldsResolveToMediumDefaults) {
   EXPECT_EQ(rc.read_per_element_s, 1.0 / params.storage_doubles_per_s);
   EXPECT_DOUBLE_EQ(rc.write_cost(comm, 100),
                    params.storage_latency_s + 100 * 7e-7);
+}
+
+TEST(CheckpointStore, SaveSaveRestoreReturnsTheSecondSnapshot) {
+  // save() reuses the previous snapshot's buffers; a later save with fewer
+  // or more vectors must still restore exactly what it was handed.
+  const Partition part = Partition::block_rows(10, 3);
+  const auto filled = [&](double base) {
+    DistVector v(part);
+    std::vector<double> g(10);
+    for (std::size_t i = 0; i < g.size(); ++i) g[i] = base + static_cast<double>(i);
+    v.set_global(g);
+    return v;
+  };
+  CheckpointStore store;
+  const DistVector a1 = filled(1.0);
+  const DistVector b1 = filled(100.0);
+  const DistVector c1 = filled(1000.0);
+  store.save(1, {&a1, &b1, &c1}, {1.0, 2.0});
+
+  const DistVector a2 = filled(5.0);
+  const DistVector b2 = filled(500.0);
+  store.save(2, {&a2, &b2}, {3.0});
+  DistVector ra(part);
+  DistVector rb(part);
+  double s = 0.0;
+  store.restore({&ra, &rb}, {&s});
+  EXPECT_EQ(store.iteration(), 2);
+  EXPECT_EQ(ra.gather_global(), a2.gather_global());
+  EXPECT_EQ(rb.gather_global(), b2.gather_global());
+  EXPECT_EQ(s, 3.0);
+  EXPECT_THROW(store.restore({&ra, &rb, &ra}, {&s}), std::logic_error);
+
+  const DistVector c3 = filled(7.0);
+  store.save(3, {&c3, &a2, &b1});
+  DistVector r0(part);
+  DistVector r1(part);
+  DistVector r2(part);
+  store.restore({&r0, &r1, &r2});
+  EXPECT_EQ(store.iteration(), 3);
+  EXPECT_EQ(r0.gather_global(), c3.gather_global());
+  EXPECT_EQ(r1.gather_global(), a2.gather_global());
+  EXPECT_EQ(r2.gather_global(), b1.gather_global());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -48,6 +50,13 @@ TEST(Dense, CholeskyRejectsIndefinite) {
   a(0, 0) = 1.0;
   a(0, 1) = a(1, 0) = 3.0;
   a(1, 1) = 1.0;  // eigenvalues 4 and -2
+  EXPECT_FALSE(DenseCholesky::factor(a).has_value());
+}
+
+TEST(Dense, CholeskyRejectsNanPivot) {
+  DenseMatrix a(2, 2);
+  a(0, 0) = std::nan("");
+  a(1, 1) = 1.0;
   EXPECT_FALSE(DenseCholesky::factor(a).has_value());
 }
 

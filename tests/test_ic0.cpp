@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "test_util.hpp"
@@ -75,6 +77,14 @@ TEST(Ic0, MissingDiagonalThrows) {
   b.add(0, 0, 1.0);
   b.add_sym(0, 1, 0.5);  // row 1 has no diagonal entry
   EXPECT_THROW((void)Ic0::factor(b.build(2, 2)), std::invalid_argument);
+}
+
+TEST(Ic0, RejectsNanPivot) {
+  // No diagonal shift can repair a NaN pivot: every retry must fail.
+  TripletBuilder b;
+  b.add(0, 0, std::nan(""));
+  b.add(1, 1, 1.0);
+  EXPECT_FALSE(Ic0::factor(b.build(2, 2)).has_value());
 }
 
 TEST(Ic0, SolveFlopsPositive) {
