@@ -10,7 +10,7 @@ namespace rpcg {
 void BackupStore::configure(const ScatterPlan& plan,
                             const RedundancyScheme& scheme,
                             const Partition& partition, int generations) {
-  RPCG_REQUIRE(generations >= 2, "a backup store needs at least 2 generations");
+  RPCG_REQUIRE(generations >= 1, "a backup store needs at least 1 generation");
   partition_ = &partition;
   generations_ = generations;
   blocks_.clear();

@@ -1,12 +1,16 @@
 // The retained redundant data: what every node keeps, beyond its own block,
-// of the most recent generations of a search direction — the SpMV halo it
+// of the most recent generations of a communicated vector — the SpMV halo it
 // receives anyway (retention rule) plus the designated extra sets Rc_ik.
-// The paper's scheme retains two generations (p^(j) and p^(j-1)); the depth-l
-// pipelined engine configures l+1 generations of u so the deeper recurrence
-// window stays reconstructible. A node failure destroys the store entries
-// *on* the failed node; the reconstruction gathers lost elements from
-// surviving holders through a tailored plan (the deterministic alternative to
-// PETSc's reverse scatter discussed in Sec. 6 of the paper).
+// It is the one redundancy store of every resilient engine; only the number
+// of generations differs:
+//   1      the stationary iterate x^(j) (its whole state is one vector),
+//   2      the paper's p^(j), p^(j-1) pair, and BiCGSTAB's p̂ and ŝ,
+//   l + 1  the pipelined engine's u at depth l, so the deeper recurrence
+//          window stays reconstructible.
+// A node failure destroys the store entries *on* the failed node; the
+// reconstruction gathers lost elements from surviving holders through a
+// tailored plan (the deterministic alternative to PETSc's reverse scatter
+// discussed in Sec. 6 of the paper).
 #pragma once
 
 #include <optional>
@@ -31,7 +35,7 @@ class BackupStore {
   /// traffic, holding the union of S_{src,dst} and the extra sets Rc
   /// targeted at dst, carrying `generations` rotating copies. Values start
   /// at zero (p^(-1) = 0, consistent with the j = 0 reconstruction where
-  /// beta^(-1) = 0). The paper's scheme is generations = 2.
+  /// beta^(-1) = 0). The paper's scheme is generations = 2; at least 1.
   void configure(const ScatterPlan& plan, const RedundancyScheme& scheme,
                  const Partition& partition, int generations = 2);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "core/factorization_cache.hpp"
 #include "solver/seq_pcg.hpp"
@@ -44,14 +45,7 @@ LocalSolveOutcome esr_solve_lost_x(Cluster& cluster, const CsrMatrix& a_global,
     }
     flops += 2.0 * static_cast<double>(cols.size());
   }
-  std::vector<double> per_holder(static_cast<std::size_t>(cluster.num_nodes()), 0.0);
-  for (auto& [owner, needed] : gather) {
-    std::sort(needed.begin(), needed.end());
-    needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-    per_holder[static_cast<std::size_t>(owner)] +=
-        cluster.comm().message_cost(static_cast<Index>(needed.size()));
-  }
-  cluster.charge_parallel_seconds(Phase::kRecovery, per_holder);
+  esr_charge_survivor_gather(cluster, std::move(gather));
 
   // Count the distinct failed nodes: the local solve runs distributed over
   // the psi replacement nodes (the paper assembles it from global
@@ -126,7 +120,8 @@ LocalSolveOutcome esr_solve_lost_x(Cluster& cluster, const CsrMatrix& a_global,
 }
 
 void esr_replace_and_refetch(Cluster& cluster, const CsrMatrix& a_global,
-                             std::span<const NodeId> failed) {
+                             std::span<const NodeId> failed,
+                             Index static_vectors) {
   const Partition& part = cluster.partition();
 
   // Replacement nodes come online; failure detection and agreement is one
@@ -135,16 +130,45 @@ void esr_replace_and_refetch(Cluster& cluster, const CsrMatrix& a_global,
   for (const NodeId f : failed) cluster.replace_node(f);
 
   // Static data re-fetch from reliable storage: A rows, preconditioner rows,
-  // and b rows of the failed blocks (Sec. 1.1.2). Replacements read in
-  // parallel; cost is the slowest one.
+  // and the static vector rows of the failed blocks (Sec. 1.1.2).
+  // Replacements read in parallel; cost is the slowest one.
   std::vector<double> per_node(static_cast<std::size_t>(cluster.num_nodes()), 0.0);
   for (const NodeId f : failed) {
-    Index doubles = part.size(f);  // b block
+    Index doubles = static_vectors * part.size(f);
     for (Index row = part.begin(f); row < part.end(f); ++row)
       doubles += 2 * static_cast<Index>(a_global.row_cols(row).size());
     per_node[static_cast<std::size_t>(f)] = cluster.comm().storage_cost(doubles);
   }
   cluster.charge_parallel_seconds(Phase::kRecovery, per_node);
+}
+
+std::vector<NodeId> esr_install_lost_rows(const Partition& part,
+                                          std::span<const NodeId> failed,
+                                          std::span<const LostRows> vectors) {
+  std::vector<NodeId> sorted(failed.begin(), failed.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (const LostRows& v : vectors) {
+    std::size_t pos = 0;
+    for (const NodeId f : sorted) {
+      const auto bsize = static_cast<std::size_t>(part.size(f));
+      v.target->restore_block(f, v.values.subspan(pos, bsize));
+      pos += bsize;
+    }
+    RPCG_CHECK(pos == v.values.size(), "lost rows must cover the wave exactly");
+  }
+  return sorted;
+}
+
+void esr_charge_survivor_gather(Cluster& cluster,
+                                std::map<NodeId, std::vector<Index>> needed) {
+  std::vector<double> per_holder(static_cast<std::size_t>(cluster.num_nodes()), 0.0);
+  for (auto& [owner, cols] : needed) {
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    per_holder[static_cast<std::size_t>(owner)] +=
+        cluster.comm().message_cost(static_cast<Index>(cols.size()));
+  }
+  cluster.charge_parallel_seconds(Phase::kRecovery, per_holder);
 }
 
 RecoveryStats EsrReconstructor::recover(Cluster& cluster,
@@ -190,21 +214,13 @@ RecoveryStats EsrReconstructor::recover(Cluster& cluster,
   stats.local_solve_rel_residual = outcome.rel_residual;
 
   // Install the reconstructed blocks on the replacement nodes.
-  std::size_t pos = 0;
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& v) {
-      return std::span<const double>(v.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    r.restore_block(f, slice(r_f));
-    z.restore_block(f, slice(z_f));
-    p.restore_block(f, slice(got.gens[0]));
-    p_prev.restore_block(f, slice(got.gens[1]));
-    pos += bsize;
-  }
+  const LostRows installs[] = {{&x, x_f},
+                               {&r, r_f},
+                               {&z, z_f},
+                               {&p, got.gens[0]},
+                               {&p_prev, got.gens[1]}};
+  const std::vector<NodeId> sorted =
+      esr_install_lost_rows(part, failed, installs);
 
   // Restore full phi+1 redundancy right away: survivors re-send the backup
   // data hosted on the replacements.

@@ -14,9 +14,11 @@
 //   8. the redundant stores hosted on the replacements are re-armed.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "core/backup_store.hpp"
 #include "core/factorization_cache.hpp"
@@ -66,13 +68,38 @@ struct LocalSolveOutcome {
   double rel_residual = 0.0;
 };
 
-/// Steps 1-2 of Alg. 2, shared by every reconstruction flavor (blocking and
-/// pipelined): failure detection/agreement (one collective over the
-/// survivors, ULFM-style shrink/agree), replacement nodes coming online,
+/// Steps 1-2 of Alg. 2, shared by every engine that rebuilds lost state
+/// (ESR, pipelined, BiCGSTAB, stationary, interpolation-restart, twin,
+/// checkpoint-recovery): failure detection/agreement (one collective over
+/// the survivors, ULFM-style shrink/agree), replacement nodes coming online,
 /// and their parallel re-fetch of the static data (A rows, preconditioner
-/// rows, b rows) from reliable storage. Charges Phase::kRecovery.
+/// rows, and `static_vectors` static vectors per row — b, plus r̂0 for
+/// BiCGSTAB) from reliable storage. Charges Phase::kRecovery.
 void esr_replace_and_refetch(Cluster& cluster, const CsrMatrix& a_global,
-                             std::span<const NodeId> failed);
+                             std::span<const NodeId> failed,
+                             Index static_vectors = 1);
+
+/// One reconstructed vector: `values` holds its lost rows laid out as
+/// Partition::rows_of_set returns them (failed nodes ascending).
+struct LostRows {
+  DistVector* target;
+  std::span<const double> values;
+};
+
+/// Installs every reconstructed vector's lost rows on the replacement nodes
+/// and returns the wave sorted ascending — the order the rows are laid out
+/// in, and the replacement list BackupStore::re_arm takes.
+std::vector<NodeId> esr_install_lost_rows(const Partition& part,
+                                          std::span<const NodeId> failed,
+                                          std::span<const LostRows> vectors);
+
+/// Charges the gather of the surviving entries a reconstruction reads:
+/// `needed[owner]` lists the columns `owner` sends (duplicates allowed).
+/// Each owner sends its distinct columns in one message; the round costs
+/// the slowest owner. Charges Phase::kRecovery.
+void esr_charge_survivor_gather(Cluster& cluster,
+                                std::map<NodeId, std::vector<Index>> needed);
+
 [[nodiscard]] LocalSolveOutcome esr_solve_lost_x(
     Cluster& cluster, const CsrMatrix& a_global, std::span<const Index> rows,
     std::span<const double> r_f, const DistVector& b, const DistVector& x,

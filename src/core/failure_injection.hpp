@@ -40,7 +40,15 @@ struct InjectionSite {
   std::function<void(NodeId)> invalidate_node;
   /// Charges the recovery of `merged` that an overlapping event cut short
   /// (FailureEvent::during_recovery); the recovery then restarts for the
-  /// union. May be empty (the aborted work is not modelled).
+  /// union. ESR, the pipelined engines, BiCGSTAB and the stationary sweeps
+  /// charge the gathers from each of their backup stores; the checkpoint
+  /// baselines and twin charge their rollback read or buddy copy. Empty
+  /// for checkpoint-restart and interpolation-restart, on purpose: both are
+  /// reference baselines kept at their historic cost model (the legacy
+  /// checkpoint-restart awaits a deliberate re-baseline onto
+  /// checkpoint-recovery, which does charge its aborted read), and a charge
+  /// here would move their simulated times. Their aborted work is not
+  /// modelled.
   std::function<void(std::span<const NodeId> merged)> charge_aborted;
 };
 

@@ -1,7 +1,5 @@
 #include "core/interpolation_restart.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace rpcg {
@@ -17,19 +15,7 @@ RecoveryStats interpolation_restart_recover(Cluster& cluster,
   RecoveryStats stats;
   stats.psi = static_cast<int>(failed.size());
 
-  cluster.charge_allreduce(Phase::kRecovery, 1);  // detection/agreement
-  for (const NodeId f : failed) cluster.replace_node(f);
-  {
-    // Static data re-fetch (A and b rows of the lost blocks).
-    std::vector<double> per_node(static_cast<std::size_t>(cluster.num_nodes()), 0.0);
-    for (const NodeId f : failed) {
-      Index doubles = part.size(f);
-      for (Index row = part.begin(f); row < part.end(f); ++row)
-        doubles += 2 * static_cast<Index>(a_global.row_cols(row).size());
-      per_node[static_cast<std::size_t>(f)] = cluster.comm().storage_cost(doubles);
-    }
-    cluster.charge_parallel_seconds(Phase::kRecovery, per_node);
-  }
+  esr_replace_and_refetch(cluster, a_global, failed);
 
   const std::vector<Index> rows = part.rows_of_set(failed);
   stats.lost_rows = static_cast<Index>(rows.size());
@@ -41,14 +27,8 @@ RecoveryStats interpolation_restart_recover(Cluster& cluster,
   stats.local_solve_iterations = outcome.iterations;
   stats.local_solve_rel_residual = outcome.rel_residual;
 
-  std::size_t pos = 0;
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    x.restore_block(f, std::span<const double>(x_f.data() + pos, bsize));
-    pos += bsize;
-  }
+  const LostRows installs[] = {{&x, x_f}};
+  esr_install_lost_rows(part, failed, installs);
   stats.sim_seconds = cluster.clock().in_phase(Phase::kRecovery) - t_before;
   return stats;
 }

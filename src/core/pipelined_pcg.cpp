@@ -11,34 +11,42 @@
 
 namespace rpcg {
 
-/// The live iteration state at loop top k (k completed updates): the
-/// current-generation vectors r_k, u_k, w_k, the previous direction p_{k-1}
-/// (plus p_{k-2}, u_{k-1} for the period-2 backup), the in-flight m/n, and
-/// the recurrence vectors s/q/z of update k-1. Replicated scalars ride
-/// along: gamma_{k-1}, alpha_{k-1} (recovered from any survivor on failure).
-struct PipelinedPcg::LoopState {
-  explicit LoopState(const Partition& part)
-      : r(part), u(part), w(part), m(part), n(part), z(part), q(part), s(part),
-        p(part), p_prev(part), u_prev(part) {}
+/// The recurrence vectors both loops carry: the current-generation r, u, w,
+/// the recurrence vectors s/q/z of the last update, the direction p and its
+/// previous generation p_prev (the paper's backup pair). Replicated scalars
+/// ride along: gamma_{k-1}, alpha_{k-1} (recovered from any survivor on
+/// failure).
+struct PipelinedPcg::Recurrences {
+  explicit Recurrences(const Partition& part)
+      : r(part), u(part), w(part), s(part), q(part), z(part), p(part),
+        p_prev(part) {}
 
-  DistVector r, u, w, m, n, z, q, s, p, p_prev, u_prev;
+  DistVector r, u, w, s, q, z, p, p_prev;
   double gamma_prev = 0.0;
   double alpha_prev = 0.0;
+};
+
+/// The depth-1 state at loop top k (k completed updates): the shared
+/// recurrences, the in-flight m/n, and u_{k-1} for the period-2 backup.
+struct PipelinedPcg::LoopState : Recurrences {
+  explicit LoopState(const Partition& part)
+      : Recurrences(part), m(part), n(part), u_prev(part) {}
+
+  DistVector m, n, u_prev;
 
   [[nodiscard]] std::vector<DistVector*> all() {
     return {&r, &u, &w, &m, &n, &z, &q, &s, &p, &p_prev, &u_prev};
   }
 };
 
-/// The depth-l iteration state: besides the depth-1 recurrence vectors, the
-/// full chains m_i = (M^-1 A)^i u, n_i = A m_i (i = 1..L) and
+/// The depth-l iteration state: besides the shared recurrences, the full
+/// chains m_i = (M^-1 A)^i u, n_i = A m_i (i = 1..L) and
 /// zeta_i = (M^-1 A)^i q, xi_i = A zeta_i (i = 1..L-1) that close the
 /// coefficient-space replay, plus the `depth` previous generations of u that
 /// the widened backup set keeps reconstructible.
-struct PipelinedPcg::DeepState {
+struct PipelinedPcg::DeepState : Recurrences {
   DeepState(const Partition& part, const PipelinedBasisLayout& layout)
-      : r(part), u(part), w(part), s(part), q(part), z(part), p(part),
-        p_prev(part) {
+      : Recurrences(part) {
     for (int g = 0; g < layout.depth; ++g) u_hist.emplace_back(part);
     for (int i = 0; i < layout.chain; ++i) {
       m.emplace_back(part);
@@ -50,12 +58,9 @@ struct PipelinedPcg::DeepState {
     }
   }
 
-  DistVector r, u, w, s, q, z, p, p_prev;
   std::vector<DistVector> u_hist;      // u^(k-1) .. u^(k-depth)
   std::vector<DistVector> m, n;        // m[i] = m_{i+1}, n[i] = n_{i+1}
   std::vector<DistVector> zeta, xi;    // zeta[i] = zeta_{i+1}, likewise xi
-  double gamma_prev = 0.0;
-  double alpha_prev = 0.0;
 
   /// Pointers in PipelinedBasisLayout index order — the fused Gram posts
   /// reduce exactly this basis.
@@ -78,6 +83,18 @@ struct PipelinedPcg::DeepState {
     return out;
   }
 };
+
+namespace {
+
+/// Copies the replacement nodes' blocks of a recomputed full vector into
+/// `dst`; the survivors keep their recurrence values.
+void install_lost_blocks(DistVector& dst, const DistVector& recomputed,
+                         std::span<const NodeId> replacements) {
+  for (const NodeId f : replacements)
+    dst.restore_block(f, recomputed.block(f));
+}
+
+}  // namespace
 
 PipelinedPcg::PipelinedPcg(Cluster& cluster, const CsrMatrix& a_global,
                            const Preconditioner& m, PipelinedPcgOptions opts)
@@ -143,13 +160,12 @@ FailureInjector PipelinedPcg::make_injector(const FailureSchedule& schedule,
        }});
 }
 
-RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
-                                    const DistVector& b, DistVector& x,
-                                    LoopState& st) {
+std::vector<NodeId> PipelinedPcg::recover_front(
+    std::span<const NodeId> failed, const DistVector& b, DistVector& x,
+    Recurrences& st, std::span<DistVector* const> u_gens,
+    RecoveryStats& stats) {
   RPCG_CHECK(!failed.empty(), "nothing to recover");
   const Partition& part = cluster_.partition();
-  const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
-  RecoveryStats stats;
   stats.psi = static_cast<int>(failed.size());
 
   esr_replace_and_refetch(cluster_, *a_global_, failed);
@@ -157,8 +173,9 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
   const std::vector<Index> rows = part.rows_of_set(failed);
   stats.lost_rows = static_cast<Index>(rows.size());
 
-  // Replicated scalars gamma^(k-1), alpha^(k-1) from any survivor, then both
-  // generations of the lost u and p blocks from the redundant copies.
+  // Replicated scalars gamma^(k-1), alpha^(k-1) from any survivor, then every
+  // backed-up generation of the lost u blocks and both p generations from
+  // the redundant copies.
   cluster_.charge(Phase::kRecovery, cluster_.comm().message_cost(1));
   const BackupStore::Gathered got_u = store_u_.gather_lost(cluster_, rows);
   const BackupStore::Gathered got_p = store_p_.gather_lost(cluster_, rows);
@@ -178,42 +195,40 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
   stats.local_solve_rel_residual = outcome.rel_residual;
 
   // Install the exactly reconstructed blocks on the replacement nodes.
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::size_t pos = 0;
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& v) {
-      return std::span<const double>(v.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    st.r.restore_block(f, slice(r_f));
-    st.u.restore_block(f, slice(got_u.gens[0]));
-    st.u_prev.restore_block(f, slice(got_u.gens[1]));
-    st.p.restore_block(f, slice(got_p.gens[0]));
-    st.p_prev.restore_block(f, slice(got_p.gens[1]));
-    pos += bsize;
-  }
+  std::vector<LostRows> installs = {{&x, x_f},
+                                    {&st.r, r_f},
+                                    {&st.p, got_p.gens[0]},
+                                    {&st.p_prev, got_p.gens[1]}};
+  for (std::size_t g = 0; g < u_gens.size(); ++g)
+    installs.push_back({u_gens[g], got_u.gens[g]});
+  const std::vector<NodeId> sorted =
+      esr_install_lost_rows(part, failed, installs);
 
   // Rebuild the remaining recurrence vectors on the replacements from their
   // defining relations (Levonyak et al.): s = A p, q = M^{-1} s, z = A q,
   // w = A u. Full operator applications charged to recovery — the same
   // resume-recompute accounting as the blocking engine's u = A p.
-  {
-    DistVector tmp(part);
-    std::vector<std::vector<double>> halos;
-    const auto rebuild_lost = [&](DistVector& dst) {
-      for (const NodeId f : sorted) dst.restore_block(f, tmp.block(f));
-    };
-    a_->spmv(cluster_, st.p, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.s);
-    m_->apply(cluster_, st.s, tmp, Phase::kRecovery);
-    rebuild_lost(st.q);
-    a_->spmv(cluster_, st.q, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.z);
-    a_->spmv(cluster_, st.u, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.w);
-  }
+  DistVector tmp(part);
+  std::vector<std::vector<double>> halos;
+  a_->spmv(cluster_, st.p, tmp, halos, Phase::kRecovery);
+  install_lost_blocks(st.s, tmp, sorted);
+  m_->apply(cluster_, st.s, tmp, Phase::kRecovery);
+  install_lost_blocks(st.q, tmp, sorted);
+  a_->spmv(cluster_, st.q, tmp, halos, Phase::kRecovery);
+  install_lost_blocks(st.z, tmp, sorted);
+  a_->spmv(cluster_, st.u, tmp, halos, Phase::kRecovery);
+  install_lost_blocks(st.w, tmp, sorted);
+  return sorted;
+}
+
+RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
+                                    const DistVector& b, DistVector& x,
+                                    LoopState& st) {
+  const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
+  RecoveryStats stats;
+  DistVector* const u_gens[] = {&st.u, &st.u_prev};
+  const std::vector<NodeId> sorted =
+      recover_front(failed, b, x, st, u_gens, stats);
 
   // The in-flight m = M^{-1} w, n = A m are recomputed whole — they are
   // minted fresh every iteration, so survivors reproduce their values
@@ -239,107 +254,34 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
 RecoveryStats PipelinedPcg::recover_deep(std::span<const NodeId> failed,
                                          const DistVector& b, DistVector& x,
                                          DeepState& st) {
-  RPCG_CHECK(!failed.empty(), "nothing to recover");
-  const Partition& part = cluster_.partition();
   const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
-  const int L = layout_.chain;
   RecoveryStats stats;
-  stats.psi = static_cast<int>(failed.size());
+  std::vector<DistVector*> u_gens = {&st.u};
+  for (DistVector& uh : st.u_hist) u_gens.push_back(&uh);
+  const std::vector<NodeId> sorted =
+      recover_front(failed, b, x, st, u_gens, stats);
 
-  esr_replace_and_refetch(cluster_, *a_global_, failed);
-
-  const std::vector<Index> rows = part.rows_of_set(failed);
-  stats.lost_rows = static_cast<Index>(rows.size());
-
-  // Replicated scalars from any survivor, then every backed-up generation of
-  // the lost u blocks (depth+1 of them) and both p generations.
-  cluster_.charge(Phase::kRecovery, cluster_.comm().message_cost(1));
-  const BackupStore::Gathered got_u = store_u_.gather_lost(cluster_, rows);
-  const BackupStore::Gathered got_p = store_p_.gather_lost(cluster_, rows);
-  stats.gathered_elements =
-      got_u.elements_transferred + got_p.elements_transferred;
-
-  std::vector<double> r_f(rows.size());
-  m_->esr_recover_residual(cluster_, rows, got_u.gens[0], st.r, st.u, r_f);
-
-  std::vector<double> x_f(rows.size());
-  const LocalSolveOutcome outcome =
-      esr_solve_lost_x(cluster_, *a_global_, rows, r_f, b, x, x_f, opts_.esr);
-  stats.local_solve_iterations = outcome.iterations;
-  stats.local_solve_rel_residual = outcome.rel_residual;
-
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::size_t pos = 0;
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& v) {
-      return std::span<const double>(v.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    st.r.restore_block(f, slice(r_f));
-    st.u.restore_block(f, slice(got_u.gens[0]));
-    for (int g = 0; g < opts_.depth; ++g)
-      st.u_hist[static_cast<std::size_t>(g)].restore_block(
-          f, slice(got_u.gens[static_cast<std::size_t>(g) + 1]));
-    st.p.restore_block(f, slice(got_p.gens[0]));
-    st.p_prev.restore_block(f, slice(got_p.gens[1]));
-    pos += bsize;
-  }
-
-  // Relation-based rebuild of the lost blocks: s = A p, q = M^{-1} s,
-  // z = A q, w = A u, then the chain ladders m_i = (M^{-1} A)^i u (seeded
-  // from the rebuilt w = A u) and zeta_i = (M^{-1} A)^i q (seeded from
-  // z = A q); n_i = A m_i and xi_i = A zeta_i ride each rung. All identities
-  // the recurrences preserve exactly, so replacements rejoin consistently.
-  {
-    DistVector tmp(part);
-    std::vector<std::vector<double>> halos;
-    const auto rebuild_lost = [&](DistVector& dst) {
-      for (const NodeId f : sorted) dst.restore_block(f, tmp.block(f));
-    };
-    a_->spmv(cluster_, st.p, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.s);
-    m_->apply(cluster_, st.s, tmp, Phase::kRecovery);
-    rebuild_lost(st.q);
-    a_->spmv(cluster_, st.q, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.z);
-    a_->spmv(cluster_, st.u, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.w);
-
-    m_->apply(cluster_, st.w, tmp, Phase::kRecovery);
-    rebuild_lost(st.m[0]);
-    a_->spmv(cluster_, st.m[0], tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.n[0]);
-    for (int i = 1; i < L; ++i) {
-      m_->apply(cluster_, st.n[static_cast<std::size_t>(i) - 1], tmp,
-                Phase::kRecovery);
-      rebuild_lost(st.m[static_cast<std::size_t>(i)]);
-      a_->spmv(cluster_, st.m[static_cast<std::size_t>(i)], tmp, halos,
-               Phase::kRecovery);
-      rebuild_lost(st.n[static_cast<std::size_t>(i)]);
-    }
-    if (L >= 2) {
-      m_->apply(cluster_, st.z, tmp, Phase::kRecovery);
-      rebuild_lost(st.zeta[0]);
-      a_->spmv(cluster_, st.zeta[0], tmp, halos, Phase::kRecovery);
-      rebuild_lost(st.xi[0]);
-      for (int i = 1; i + 1 < L; ++i) {
-        m_->apply(cluster_, st.xi[static_cast<std::size_t>(i) - 1], tmp,
-                  Phase::kRecovery);
-        rebuild_lost(st.zeta[static_cast<std::size_t>(i)]);
-        a_->spmv(cluster_, st.zeta[static_cast<std::size_t>(i)], tmp, halos,
-                 Phase::kRecovery);
-        rebuild_lost(st.xi[static_cast<std::size_t>(i)]);
-      }
-    }
-  }
+  // Ladder-rebuild the lost chain blocks: m_i = (M^{-1} A)^i u (seeded from
+  // the rebuilt w = A u) and zeta_i = (M^{-1} A)^i q (seeded from z = A q);
+  // n_i = A m_i and xi_i = A zeta_i ride each rung. All identities the
+  // recurrences preserve exactly, so replacements rejoin consistently.
+  DistVector tmp(cluster_.partition());
+  std::vector<std::vector<double>> halos;
+  const auto rung = [&](const DistVector& from, DistVector& m_i,
+                        DistVector& n_i) {
+    m_->apply(cluster_, from, tmp, Phase::kRecovery);
+    install_lost_blocks(m_i, tmp, sorted);
+    a_->spmv(cluster_, m_i, tmp, halos, Phase::kRecovery);
+    install_lost_blocks(n_i, tmp, sorted);
+  };
+  for (std::size_t i = 0; i < st.m.size(); ++i)
+    rung(i == 0 ? st.w : st.n[i - 1], st.m[i], st.n[i]);
+  for (std::size_t i = 0; i < st.zeta.size(); ++i)
+    rung(i == 0 ? st.z : st.xi[i - 1], st.zeta[i], st.xi[i]);
 
   // Restore full phi+1 redundancy of both backup sets right away.
   store_p_.re_arm(cluster_, sorted, st.p, st.p_prev);
-  std::vector<const DistVector*> ugens;
-  ugens.push_back(&st.u);
-  for (const DistVector& uh : st.u_hist) ugens.push_back(&uh);
+  const std::vector<const DistVector*> ugens(u_gens.begin(), u_gens.end());
   store_u_.re_arm(cluster_, sorted, ugens);
 
   stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t_before;
@@ -497,21 +439,21 @@ SolveReport PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
   const int d = layout_.steps;  // iterations each reduction stays in flight
   const int L = layout_.chain;
 
-  // Startup: r/u/w as in depth 1, then the chains built directly from their
-  // definitions (L preconditioner applications + L SpMVs, once).
-  a_->spmv(cluster_, x, st.n[0], halos, it);  // n_1 as scratch
-  copy(cluster_, b, st.r, it);
-  axpy(cluster_, -1.0, st.n[0], st.r, it);
-  m_->apply(cluster_, st.r, st.u, it);
-  a_->spmv(cluster_, st.u, st.w, halos, it);
-  m_->apply(cluster_, st.w, st.m[0], it);
-  a_->spmv(cluster_, st.m[0], st.n[0], halos, it);
-  for (int i = 1; i < L; ++i) {
-    m_->apply(cluster_, st.n[static_cast<std::size_t>(i) - 1],
-              st.m[static_cast<std::size_t>(i)], it);
-    a_->spmv(cluster_, st.m[static_cast<std::size_t>(i)],
-             st.n[static_cast<std::size_t>(i)], halos, it);
-  }
+  // r/u/w as in depth 1, then the chains built directly from their
+  // definitions (L preconditioner applications + L SpMVs): the startup, and
+  // the rebuild of a restart.
+  const auto build_from_x = [&] {
+    a_->spmv(cluster_, x, st.n[0], halos, it);  // n_1 as scratch
+    copy(cluster_, b, st.r, it);
+    axpy(cluster_, -1.0, st.n[0], st.r, it);
+    m_->apply(cluster_, st.r, st.u, it);
+    a_->spmv(cluster_, st.u, st.w, halos, it);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(L); ++i) {
+      m_->apply(cluster_, i == 0 ? st.w : st.n[i - 1], st.m[i], it);
+      a_->spmv(cluster_, st.m[i], st.n[i], halos, it);
+    }
+  };
+  build_from_x();
 
   const std::vector<const DistVector*> basis = st.basis();
   const int entries = layout_.gram_entries();
@@ -617,19 +559,7 @@ SolveReport PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
         e.red.wait();
         e.iteration = -1;
       }
-      a_->spmv(cluster_, x, st.n[0], halos, it);
-      copy(cluster_, b, st.r, it);
-      axpy(cluster_, -1.0, st.n[0], st.r, it);
-      m_->apply(cluster_, st.r, st.u, it);
-      a_->spmv(cluster_, st.u, st.w, halos, it);
-      m_->apply(cluster_, st.w, st.m[0], it);
-      a_->spmv(cluster_, st.m[0], st.n[0], halos, it);
-      for (int i = 1; i < L; ++i) {
-        m_->apply(cluster_, st.n[static_cast<std::size_t>(i) - 1],
-                  st.m[static_cast<std::size_t>(i)], it);
-        a_->spmv(cluster_, st.m[static_cast<std::size_t>(i)],
-                 st.n[static_cast<std::size_t>(i)], halos, it);
-      }
+      build_from_x();
       history.clear();
       slot.red = ipipelined_gram(cluster_, basis, it);
       slot.iteration = k;

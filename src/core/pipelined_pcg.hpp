@@ -117,8 +117,9 @@ class PipelinedPcg {
                MaybeOwned<DistMatrix> a, const Preconditioner& m,
                PipelinedPcgOptions opts);
 
-  struct LoopState;  // depth-1 recurrence vectors + replicated scalars
-  struct DeepState;  // depth-l basis vectors + u-generation ring
+  struct Recurrences;  // r/u/w/s/q/z/p/p_prev + replicated scalars
+  struct LoopState;    // depth 1: Recurrences + in-flight m/n + u_prev
+  struct DeepState;    // depth l: Recurrences + chains + u-generation ring
 
   /// The shared injection point over x plus the engine state `state`:
   /// failures wipe both backup stores, and an overlapping failure charges
@@ -127,15 +128,33 @@ class PipelinedPcg {
                                 DistVector& x,
                                 std::vector<DistVector*> state);
 
-  /// ESR recovery of the depth-1 pipelined state after the merged failure
-  /// set `failed`: exact reconstruction of x/r/u/p (+ previous generations)
-  /// from the backups, relation-based rebuild of s/q/z/w, full recompute of
-  /// the in-flight m/n. Returns Alg. 2 stats.
+  /// The recovery steps both depths share, for the merged failure set
+  /// `failed`: replacement and static re-fetch, the replicated scalars, the
+  /// u and p gathers, r_IF through the preconditioner, x_IF from the local
+  /// system, installation of x, r, p, p_prev and the u generations `u_gens`
+  /// (newest first, one per store_u_ generation), and the relation-based
+  /// rebuild s = A p, q = M^{-1} s, z = A q, w = A u of the lost blocks.
+  /// Fills `stats` except sim_seconds; returns the sorted wave.
+  std::vector<NodeId> recover_front(std::span<const NodeId> failed,
+                                    const DistVector& b, DistVector& x,
+                                    Recurrences& st,
+                                    std::span<DistVector* const> u_gens,
+                                    RecoveryStats& stats);
+
+  /// ESR recovery of the depth-1 pipelined state: the shared front, then a
+  /// full recompute of the in-flight m/n on every node. Returns Alg. 2 stats.
+  ///
+  /// The two chain steps stay apart on purpose. Depth 1 recomputes m and n
+  /// whole, on every node; depth l restores only the lost chain blocks. The
+  /// rebuilt w = A u differs in rounding from the recurrence w -= alpha z,
+  /// so a depth-l-style step at depth 1 would change the survivors' n rows
+  /// next to the lost nodes — and with them the simulated values of depth-1
+  /// pipelined-resilient-pcg that the benchmark pins.
   RecoveryStats recover(std::span<const NodeId> failed, const DistVector& b,
                         DistVector& x, LoopState& st);
 
-  /// Depth-l counterpart: additionally restores every u generation and
-  /// ladder-rebuilds the chain vectors of the prediction basis.
+  /// Depth-l counterpart: the shared front, then a ladder rebuild of the
+  /// lost blocks of the prediction basis' chain vectors.
   RecoveryStats recover_deep(std::span<const NodeId> failed,
                              const DistVector& b, DistVector& x,
                              DeepState& st);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "core/errors.hpp"
 #include "core/failure_injection.hpp"
@@ -60,14 +61,7 @@ void ResilientBicgstab::recompute_lost_rows(std::span<const Index> rows,
     out[k] = acc;
     flops += 2.0 * static_cast<double>(cols.size());
   }
-  std::vector<double> per_holder(static_cast<std::size_t>(cluster_.num_nodes()), 0.0);
-  for (auto& [owner, needed] : gather) {
-    std::sort(needed.begin(), needed.end());
-    needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-    per_holder[static_cast<std::size_t>(owner)] +=
-        cluster_.comm().message_cost(static_cast<Index>(needed.size()));
-  }
-  cluster_.charge_parallel_seconds(Phase::kRecovery, per_holder);
+  esr_charge_survivor_gather(cluster_, std::move(gather));
   cluster_.charge(Phase::kRecovery, cluster_.comm().compute_cost(flops));
 }
 
@@ -81,21 +75,9 @@ RecoveryStats ResilientBicgstab::recover(
   RecoveryStats stats;
   stats.psi = static_cast<int>(failed.size());
 
-  cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection/agreement
-  for (const NodeId f : failed) cluster_.replace_node(f);
-
-  // Static data re-fetch: A rows, b rows, and the r̂0 block (static data
-  // derived from b and the initial guess).
-  {
-    std::vector<double> per_node(static_cast<std::size_t>(cluster_.num_nodes()), 0.0);
-    for (const NodeId f : failed) {
-      Index doubles = 2 * part.size(f);  // b and r̂0 blocks
-      for (Index row = part.begin(f); row < part.end(f); ++row)
-        doubles += 2 * static_cast<Index>(a_global_->row_cols(row).size());
-      per_node[static_cast<std::size_t>(f)] = cluster_.comm().storage_cost(doubles);
-    }
-    cluster_.charge_parallel_seconds(Phase::kRecovery, per_node);
-  }
+  // Static data: A rows, b rows, and the r̂0 block (static data derived from
+  // b and the initial guess).
+  esr_replace_and_refetch(cluster_, *a_global_, failed, 2);
 
   const std::vector<Index> rows = part.rows_of_set(failed);
   stats.lost_rows = static_cast<Index>(rows.size());
@@ -130,27 +112,16 @@ RecoveryStats ResilientBicgstab::recover(
   stats.local_solve_iterations = outcome.iterations;
   stats.local_solve_rel_residual = outcome.rel_residual;
 
-  // Install the reconstructed blocks.
-  std::size_t pos = 0;
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& vec) {
-      return std::span<const double>(vec.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    r.restore_block(f, slice(r_f));
-    p.restore_block(f, slice(p_f));
-    v.restore_block(f, slice(v_f));
-    s.restore_block(f, slice(s_f));
-    t.restore_block(f, slice(t_f));
-    phat.restore_block(f, slice(got_phat.gens[0]));
-    shat.restore_block(f, slice(got_shat.gens[0]));
-    // r̂0 comes from reliable storage (cost charged with the static fetch).
-    r0.restore_block(f, r0_pristine.block(f));
-    pos += bsize;
-  }
+  // Install the reconstructed blocks; r̂0 comes from reliable storage (cost
+  // charged with the static fetch).
+  const LostRows installs[] = {{&x, x_f},    {&r, r_f},
+                               {&p, p_f},    {&v, v_f},
+                               {&s, s_f},    {&t, t_f},
+                               {&phat, got_phat.gens[0]},
+                               {&shat, got_shat.gens[0]}};
+  const std::vector<NodeId> sorted =
+      esr_install_lost_rows(part, failed, installs);
+  for (const NodeId f : sorted) r0.restore_block(f, r0_pristine.block(f));
 
   // Restore full redundancy on the replacements.
   store_phat_.re_arm(cluster_, sorted, phat, phat);
@@ -201,7 +172,14 @@ SolveReport ResilientBicgstab::solve(const DistVector& b, DistVector& x,
                    store_phat_.invalidate_node(f);
                    store_shat_.invalidate_node(f);
                  },
-                 {}});
+                 [this](std::span<const NodeId> merged) {
+                   // The gathers for `merged` were underway; they are redone
+                   // for the union.
+                   const std::vector<Index> partial_rows =
+                       cluster_.partition().rows_of_set(merged);
+                   (void)store_phat_.gather_lost(cluster_, partial_rows);
+                   (void)store_shat_.gather_lost(cluster_, partial_rows);
+                 }});
   double rho_prev = 1.0, alpha = 1.0, omega = 1.0;
 
   for (int j = 0; j < opts_.max_iterations; ++j) {

@@ -1,10 +1,7 @@
 #include "solver/stationary.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 
-#include "core/errors.hpp"
 #include "core/failure_injection.hpp"
 #include "sim/collectives.hpp"
 #include "util/check.hpp"
@@ -36,46 +33,7 @@ ResilientStationary::ResilientStationary(Cluster& cluster,
                                       opts_.phi, opts_.strategy,
                                       opts_.strategy_seed);
     redundancy_step_cost_ = scheme_.per_iteration_overhead(cluster.comm());
-
-    // Retained single-generation copies: the SpMV halo plus the extras.
-    std::map<std::pair<NodeId, NodeId>, std::vector<Index>> pair_indices;
-    for (const auto& m : a.scatter_plan().messages()) {
-      auto& v = pair_indices[{m.src, m.dst}];
-      v.insert(v.end(), m.indices.begin(), m.indices.end());
-    }
-    for (NodeId i = 0; i < cluster.num_nodes(); ++i) {
-      for (const auto& round : scheme_.rounds_of(i)) {
-        if (round.extra.empty()) continue;
-        auto& v = pair_indices[{i, round.target}];
-        v.insert(v.end(), round.extra.begin(), round.extra.end());
-      }
-    }
-    retained_by_src_.assign(static_cast<std::size_t>(cluster.num_nodes()), {});
-    retained_by_dst_.assign(static_cast<std::size_t>(cluster.num_nodes()), {});
-    for (auto& [key, indices] : pair_indices) {
-      std::sort(indices.begin(), indices.end());
-      indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-      Retained r;
-      r.src = key.first;
-      r.dst = key.second;
-      r.values.assign(indices.size(), 0.0);
-      r.indices = std::move(indices);
-      const int id = static_cast<int>(retained_.size());
-      retained_by_src_[static_cast<std::size_t>(r.src)].push_back(id);
-      retained_by_dst_[static_cast<std::size_t>(r.dst)].push_back(id);
-      retained_.push_back(std::move(r));
-    }
-  }
-}
-
-void ResilientStationary::record_backups(const DistVector& x) {
-  const Partition& part = cluster_.partition();
-  for (auto& r : retained_) {
-    if (!r.valid) continue;
-    const auto src = x.block(r.src);
-    const Index base = part.begin(r.src);
-    for (std::size_t k = 0; k < r.indices.size(); ++k)
-      r.values[k] = src[static_cast<std::size_t>(r.indices[k] - base)];
+    store_.configure(a.scatter_plan(), scheme_, cluster.partition(), 1);
   }
 }
 
@@ -137,68 +95,33 @@ void ResilientStationary::local_sweep(NodeId i, std::span<const double> b_own,
   }
 }
 
-void ResilientStationary::recover(const std::vector<NodeId>& failed,
-                                  DistVector& x) {
+RecoveryStats ResilientStationary::recover(
+    std::span<const NodeId> failed, DistVector& x,
+    std::vector<std::vector<double>>& halos) {
   const Partition& part = cluster_.partition();
-  cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection/agreement
-  for (const NodeId f : failed) cluster_.replace_node(f);
+  const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
+  RecoveryStats stats;
+  stats.psi = static_cast<int>(failed.size());
 
-  // Static-data re-fetch (A rows + b rows) from reliable storage.
-  std::vector<double> per_node(static_cast<std::size_t>(cluster_.num_nodes()), 0.0);
-  for (const NodeId f : failed) {
-    Index doubles = part.size(f);
-    for (Index row = part.begin(f); row < part.end(f); ++row)
-      doubles += 2 * static_cast<Index>(a_global_->row_cols(row).size());
-    per_node[static_cast<std::size_t>(f)] = cluster_.comm().storage_cost(doubles);
-  }
-  cluster_.charge_parallel_seconds(Phase::kRecovery, per_node);
+  esr_replace_and_refetch(cluster_, *a_global_, failed);
 
-  // Gather the lost iterate blocks from surviving copies.
-  std::map<std::pair<NodeId, NodeId>, Index> traffic;
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const NodeId f : sorted) {
-    std::vector<double> block(static_cast<std::size_t>(part.size(f)));
-    for (Index s = part.begin(f); s < part.end(f); ++s) {
-      bool found = false;
-      for (const int id : retained_by_src_[static_cast<std::size_t>(f)]) {
-        const auto& r = retained_[static_cast<std::size_t>(id)];
-        if (!r.valid || !cluster_.is_alive(r.dst)) continue;
-        const auto it = std::lower_bound(r.indices.begin(), r.indices.end(), s);
-        if (it == r.indices.end() || *it != s) continue;
-        block[static_cast<std::size_t>(s - part.begin(f))] =
-            r.values[static_cast<std::size_t>(it - r.indices.begin())];
-        traffic[{r.dst, f}] += 1;
-        found = true;
-        break;
-      }
-      if (!found)
-        throw UnrecoverableFailure("iterate element " + std::to_string(s) +
-                                   " has no surviving copy");
-    }
-    x.restore_block(f, block);
-  }
-  std::vector<double> per_holder(static_cast<std::size_t>(cluster_.num_nodes()), 0.0);
-  for (const auto& [key, count] : traffic)
-    per_holder[static_cast<std::size_t>(key.first)] +=
-        cluster_.comm().message_cost(count);
-  cluster_.charge_parallel_seconds(Phase::kRecovery, per_holder);
+  // Gather the lost iterate blocks from surviving copies and install them.
+  const std::vector<Index> rows = part.rows_of_set(failed);
+  stats.lost_rows = static_cast<Index>(rows.size());
+  const BackupStore::Gathered got = store_.gather_lost(cluster_, rows);
+  stats.gathered_elements = got.elements_transferred;
+  const LostRows installs[] = {{&x, got.gens[0]}};
+  const std::vector<NodeId> sorted =
+      esr_install_lost_rows(part, failed, installs);
 
   // Re-arm the copies hosted on the replacements.
-  std::fill(per_node.begin(), per_node.end(), 0.0);
-  for (const NodeId f : sorted) {
-    for (const int id : retained_by_dst_[static_cast<std::size_t>(f)]) {
-      auto& r = retained_[static_cast<std::size_t>(id)];
-      const auto src = x.block(r.src);
-      const Index base = part.begin(r.src);
-      for (std::size_t k = 0; k < r.indices.size(); ++k)
-        r.values[k] = src[static_cast<std::size_t>(r.indices[k] - base)];
-      r.valid = true;
-      per_node[static_cast<std::size_t>(r.src)] +=
-          cluster_.comm().message_cost(static_cast<Index>(r.indices.size()));
-    }
-  }
-  cluster_.charge_parallel_seconds(Phase::kRecovery, per_node);
+  const DistVector* gens[] = {&x};
+  store_.re_arm(cluster_, sorted, gens);
+
+  // Redo the halo exchange on the recovered iterate.
+  execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kRecovery);
+  stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t_before;
+  return stats;
 }
 
 SolveReport ResilientStationary::solve(const DistVector& b, DistVector& x,
@@ -212,16 +135,18 @@ SolveReport ResilientStationary::solve(const DistVector& b, DistVector& x,
   DistVector resid(part);
   SolveReport res;
 
-  // Initial residual norm (one SpMV).
-  a_->spmv(cluster_, x, resid, halos, Phase::kIteration);
-  {
+  // ||b - A x|| on the true residual (one SpMV; real implementations
+  // amortize the convergence check, we charge it like everyone else).
+  const auto residual_norm = [&] {
+    a_->spmv(cluster_, x, resid, halos, Phase::kIteration);
     for (NodeId i = 0; i < part.num_nodes(); ++i) {
       auto rb = resid.block(i);
       const auto bb = b.block(i);
       for (std::size_t k = 0; k < rb.size(); ++k) rb[k] = bb[k] - rb[k];
     }
-  }
-  const double rnorm0 = std::sqrt(dot(cluster_, resid, resid, Phase::kIteration));
+    return std::sqrt(dot(cluster_, resid, resid, Phase::kIteration));
+  };
+  const double rnorm0 = residual_norm();
   if (rnorm0 == 0.0) {
     res.converged = true;
     accounting.close(*a_, b, x, res);
@@ -233,60 +158,43 @@ SolveReport ResilientStationary::solve(const DistVector& b, DistVector& x,
                  {&x, &resid},
                  opts_.events,
                  opts_.phi > 0,
-                 [this](NodeId f) {
-                   for (const int id : retained_by_dst_[static_cast<std::size_t>(f)])
-                     retained_[static_cast<std::size_t>(id)].valid = false;
-                 },
-                 {}});
-  const double sweep_flops_base = sweep_flops_scale_;
+                 [this](NodeId f) { store_.invalidate_node(f); },
+                 [this](std::span<const NodeId> merged) {
+                   // The gather for `merged` was underway; it is redone for
+                   // the union.
+                   (void)store_.gather_lost(cluster_,
+                                            cluster_.partition().rows_of_set(merged));
+                 }});
+  const int nn = part.num_nodes();
+  std::vector<double> sweep_flops(static_cast<std::size_t>(nn));
+  for (NodeId i = 0; i < nn; ++i)
+    sweep_flops[static_cast<std::size_t>(i)] =
+        sweep_flops_scale_ * static_cast<double>(a_->local_rows(i).nnz());
 
   for (int j = 0; j < opts_.max_iterations; ++j) {
     // Halo exchange of x^(j) (+ redundant copies).
     execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kIteration);
     if (opts_.phi > 0) {
-      record_backups(x);
+      store_.record(x);
       cluster_.charge(Phase::kRedundancy, redundancy_step_cost_);
     }
 
     // Failure injection point: x's copies are distributed.
     const std::vector<NodeId> failed = injector.inject_due(j);
     if (!failed.empty()) {
-      const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
-      recover(failed, x);
       resid.set_zero();
-      // Redo the halo exchange on the recovered iterate.
-      execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kRecovery);
-      RecoveryStats stats;
-      stats.psi = static_cast<int>(failed.size());
-      stats.lost_rows = static_cast<Index>(part.rows_of_set(failed).size());
-      stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
-      injector.record_recovery(res, {j, failed, stats});
+      injector.record_recovery(res, {j, failed, recover(failed, x, halos)});
     }
 
     // One sweep per node (embarrassingly parallel given the halo).
-    const int nn = part.num_nodes();
     exec_parallel_for(cluster_.execution_policy(), static_cast<std::size_t>(nn),
                       [&](std::size_t i) {
                         const auto node = static_cast<NodeId>(i);
                         local_sweep(node, b.block(node), halos[i], x.block(node));
                       });
-    {
-      std::vector<double> flops(static_cast<std::size_t>(nn));
-      for (NodeId i = 0; i < nn; ++i)
-        flops[static_cast<std::size_t>(i)] =
-            sweep_flops_base * static_cast<double>(a_->local_rows(i).nnz());
-      cluster_.charge_compute(Phase::kIteration, flops);
-    }
+    cluster_.charge_compute(Phase::kIteration, sweep_flops);
 
-    // Convergence check on the true residual (needs a fresh SpMV; real
-    // implementations amortize this, we charge it like everyone else).
-    a_->spmv(cluster_, x, resid, halos, Phase::kIteration);
-    for (NodeId i = 0; i < nn; ++i) {
-      auto rb = resid.block(i);
-      const auto bb = b.block(i);
-      for (std::size_t k = 0; k < rb.size(); ++k) rb[k] = bb[k] - rb[k];
-    }
-    const double rnorm = std::sqrt(dot(cluster_, resid, resid, Phase::kIteration));
+    const double rnorm = residual_norm();
     res.iterations = j + 1;
     res.rel_residual = rnorm / rnorm0;
     res.solver_residual_norm = rnorm;

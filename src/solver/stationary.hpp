@@ -7,7 +7,9 @@
 // SpMV-style halo exchange of every sweep distributes x's elements, the same
 // redundancy machinery (Eqns. 5-6 of the paper) guarantees phi extra copies
 // of every block, and recovery after up to phi node failures is a pure
-// gather — no local linear system needs to be solved at all.
+// gather — no local linear system needs to be solved at all. The copies live
+// in the same BackupStore as every other engine's, configured with a single
+// generation.
 //
 // The parallel smoother variants implemented here are the standard
 // block-hybrid forms: the off-node contributions always enter through the
@@ -19,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/backup_store.hpp"
+#include "core/esr.hpp"  // RecoveryStats
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/redundancy.hpp"
@@ -82,29 +86,20 @@ class ResilientStationary {
   void local_sweep(NodeId i, std::span<const double> b_own,
                    std::span<const double> halo, std::span<double> x_own) const;
 
-  void recover(const std::vector<NodeId>& failed, DistVector& x);
+  // Rebuilds the lost iterate blocks from their surviving copies, re-arms
+  // the copies hosted on the replacements and redoes the halo exchange.
+  RecoveryStats recover(std::span<const NodeId> failed, DistVector& x,
+                        std::vector<std::vector<double>>& halos);
 
   Cluster& cluster_;
   const CsrMatrix* a_global_;
   const DistMatrix* a_;
   StationaryOptions opts_;
   RedundancyScheme scheme_;
+  BackupStore store_;  // one generation of x: the whole solver state
   std::vector<double> inv_diag_;  // global 1/A_ii (static data)
   double redundancy_step_cost_ = 0.0;
   double sweep_flops_scale_ = 0.0;
-
-  // Simple single-generation backup store specialized for the iterate.
-  struct Retained {
-    NodeId src = -1;
-    NodeId dst = -1;
-    std::vector<Index> indices;
-    std::vector<double> values;
-    bool valid = true;
-  };
-  std::vector<Retained> retained_;
-  std::vector<std::vector<int>> retained_by_src_;
-  std::vector<std::vector<int>> retained_by_dst_;
-  void record_backups(const DistVector& x);
 };
 
 }  // namespace rpcg

@@ -167,11 +167,78 @@ TEST(BackupStore, NGenerationRingRoundTrips) {
   EXPECT_EQ(got.elements_transferred, 4 * static_cast<Index>(rows.size()));
 }
 
-TEST(BackupStore, ConfigureRejectsSingleGeneration) {
+TEST(BackupStore, ConfigureRejectsZeroGenerations) {
   Fixture f;
   EXPECT_THROW(
-      f.store.configure(f.dist.scatter_plan(), f.scheme, f.part, 1),
+      f.store.configure(f.dist.scatter_plan(), f.scheme, f.part, 0),
       std::logic_error);
+}
+
+// One generation: the stationary engine's store of its iterate.
+TEST(BackupStore, SingleGenerationRecordOverwrites) {
+  Fixture f;
+  f.store.configure(f.dist.scatter_plan(), f.scheme, f.part, 1);
+  ASSERT_EQ(f.store.generations(), 1);
+  f.fill_and_record(100.0);
+  f.fill_and_record(500.0);  // replaces the 100.0 snapshot
+  for (Index s = 0; s < f.a.rows(); ++s) {
+    const auto got = f.store.lookup(f.cluster, f.part.owner(s), s, 0);
+    ASSERT_TRUE(got.has_value()) << "element " << s;
+    EXPECT_DOUBLE_EQ(got->value, 500.0 + static_cast<double>(s));
+  }
+  EXPECT_THROW((void)f.store.lookup(f.cluster, 0, 0, 1), std::logic_error);
+}
+
+TEST(BackupStore, SingleGenerationGatherReturnsOneGeneration) {
+  Fixture f;
+  f.store.configure(f.dist.scatter_plan(), f.scheme, f.part, 1);
+  f.fill_and_record(7.0);
+  const std::vector<NodeId> failed{1, 2};
+  for (const NodeId d : failed) {
+    f.store.invalidate_node(d);
+    f.cluster.fail_node(d);
+  }
+  const auto rows = f.part.rows_of_set(failed);
+  const auto got = f.store.gather_lost(f.cluster, rows);
+  ASSERT_EQ(got.gens.size(), 1u);
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    EXPECT_DOUBLE_EQ(got.gens[0][k], 7.0 + static_cast<double>(rows[k]));
+  EXPECT_EQ(got.elements_transferred, static_cast<Index>(rows.size()));
+}
+
+TEST(BackupStore, SingleGenerationReArmChargesOneMessagePerSource) {
+  // Diagonal matrix, phi = 1: no halo traffic, so node 2 hosts exactly one
+  // retained block — node 1's designated copy — and re-arming it is one
+  // message of that block's indices from node 1.
+  const CsrMatrix a = CsrMatrix::identity(16);
+  const Partition part = Partition::block_rows(16, 4);
+  Cluster cluster(part, CommParams{});
+  const DistMatrix dist = DistMatrix::distribute(a, part);
+  const auto scheme = RedundancyScheme::build(dist.scatter_plan(), part, 1,
+                                              BackupStrategy::kPaperAlternating);
+  BackupStore store;
+  store.configure(dist.scatter_plan(), scheme, part, 1);
+  DistVector x(part);
+  x.set_global(std::vector<double>(16, 3.0));
+  store.record(x);
+  const Index hosted = store.retained_elements_on(2);
+  ASSERT_EQ(hosted, part.size(1));
+
+  store.invalidate_node(2);
+  cluster.fail_node(2);
+  cluster.replace_node(2);
+  const std::vector<NodeId> repl{2};
+  const DistVector* gens[] = {&x};
+  store.re_arm(cluster, repl, gens);
+  EXPECT_DOUBLE_EQ(cluster.clock().in_phase(Phase::kRecovery),
+                   cluster.comm().message_cost(hosted));
+  // The re-armed copy serves node 1's elements again.
+  for (Index s = part.begin(1); s < part.end(1); ++s) {
+    const auto got = store.lookup(cluster, 1, s, 0);
+    ASSERT_TRUE(got.has_value()) << "element " << s;
+    EXPECT_EQ(got->holder, 2);
+    EXPECT_DOUBLE_EQ(got->value, 3.0);
+  }
 }
 
 TEST(BackupStore, ReArmSpanMustMatchGenerationCount) {

@@ -151,6 +151,39 @@ TEST(Bicgstab, SequentialFailures) {
   EXPECT_LT(max_diff(x.gather_global(), p.x_ref), 1e-6);
 }
 
+TEST(Bicgstab, FailureDuringRecoveryCostsMoreThanOneWave) {
+  Problem p(poisson2d_5pt(12, 12), 8);
+  const auto m = make_preconditioner("bjacobi", p.a, p.part);
+  // Nodes {2, 3, 4} fail as one simultaneous wave.
+  double t_simultaneous = 0.0;
+  std::vector<double> x_simultaneous;
+  {
+    Cluster cluster(p.part, CommParams{});
+    ResilientBicgstab solver(cluster, p.a, p.dist, *m, options_with(3));
+    DistVector x(p.part);
+    const auto res =
+        solver.solve(p.b, x, FailureSchedule::contiguous(4, 2, 3));
+    ASSERT_TRUE(res.converged);
+    t_simultaneous = res.sim_time_phase[static_cast<int>(Phase::kRecovery)];
+    x_simultaneous = x.gather_global();
+  }
+  // Node 4 dies while {2, 3} are being recovered: the aborted gathers of p̂
+  // and ŝ are redone for the union.
+  Cluster cluster(p.part, CommParams{});
+  ResilientBicgstab solver(cluster, p.a, p.dist, *m, options_with(3));
+  DistVector x(p.part);
+  FailureSchedule schedule;
+  schedule.add({4, {2, 3}, false});
+  schedule.add({4, {4}, true});
+  const auto res = solver.solve(p.b, x, schedule);
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.recoveries.size(), 1u);
+  EXPECT_EQ(res.recoveries[0].nodes.size(), 3u);
+  EXPECT_EQ(x.gather_global(), x_simultaneous);
+  EXPECT_GT(res.sim_time_phase[static_cast<int>(Phase::kRecovery)],
+            t_simultaneous);
+}
+
 TEST(Bicgstab, FailuresWithoutRedundancyThrow) {
   Problem p(poisson2d_5pt(10, 10), 4);
   const auto m = make_preconditioner("bjacobi", p.a, p.part);

@@ -205,5 +205,36 @@ TEST(Esr, RecoveryStatsArepopulated) {
   EXPECT_GT(s.sim_seconds, 0.0);
 }
 
+
+TEST(Esr, InstallLostRowsSortsTheWaveAndFillsEachVector) {
+  // Rows arrive laid out as rows_of_set returns them (nodes ascending), even
+  // when the wave lists its nodes out of order.
+  const Partition part = Partition::block_rows(12, 4);
+  DistVector u(part), v(part);
+  const std::vector<NodeId> failed{3, 1};
+  for (const NodeId f : failed) {
+    u.invalidate(f);
+    v.invalidate(f);
+  }
+  const std::vector<Index> rows = part.rows_of_set(failed);
+  std::vector<double> u_f(rows.size()), v_f(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    u_f[k] = static_cast<double>(rows[k]);
+    v_f[k] = -static_cast<double>(rows[k]);
+  }
+  const LostRows installs[] = {{&u, u_f}, {&v, v_f}};
+  const std::vector<NodeId> sorted = esr_install_lost_rows(part, failed, installs);
+  EXPECT_EQ(sorted, (std::vector<NodeId>{1, 3}));
+  for (const NodeId f : sorted) {
+    ASSERT_TRUE(u.is_valid(f));
+    ASSERT_TRUE(v.is_valid(f));
+    for (Index r = part.begin(f); r < part.end(f); ++r) {
+      const auto k = static_cast<std::size_t>(r - part.begin(f));
+      EXPECT_EQ(u.block(f)[k], static_cast<double>(r));
+      EXPECT_EQ(v.block(f)[k], -static_cast<double>(r));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rpcg

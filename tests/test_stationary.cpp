@@ -171,6 +171,55 @@ TEST(Stationary, SequentialFailures) {
   EXPECT_LT(max_diff(x.gather_global(), p.x_ref), 1e-5);
 }
 
+TEST(Stationary, RecoveryReportsOneGatheredCopyPerLostRow) {
+  // The iterate is the whole state, and the store keeps one generation of
+  // it: recovery transfers exactly one copy of every lost element.
+  Problem p;
+  Cluster cluster(p.part, CommParams{});
+  ResilientStationary solver(cluster, p.a, p.dist,
+                             options_for(StationaryMethod::kJacobi, 0.8, 2));
+  DistVector x(p.part);
+  const auto res = solver.solve(p.b, x, FailureSchedule::contiguous(5, 2, 2));
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.recoveries.size(), 1u);
+  const RecoveryStats& stats = res.recoveries[0].stats;
+  EXPECT_EQ(stats.lost_rows, p.part.size(2) + p.part.size(3));
+  EXPECT_EQ(stats.gathered_elements, stats.lost_rows);
+}
+
+TEST(Stationary, FailureDuringRecoveryCostsMoreThanOneWave) {
+  const StationaryOptions opts = options_for(StationaryMethod::kSor, 1.1, 3);
+  Problem p;
+  // Nodes {2, 3, 4} fail as one simultaneous wave.
+  double t_simultaneous = 0.0;
+  std::vector<double> x_simultaneous;
+  {
+    Cluster cluster(p.part, CommParams{});
+    ResilientStationary solver(cluster, p.a, p.dist, opts);
+    DistVector x(p.part);
+    const auto res =
+        solver.solve(p.b, x, FailureSchedule::contiguous(5, 2, 3));
+    ASSERT_TRUE(res.converged);
+    t_simultaneous = res.sim_time_phase[static_cast<int>(Phase::kRecovery)];
+    x_simultaneous = x.gather_global();
+  }
+  // Node 4 dies while {2, 3} are being recovered: the aborted gather is
+  // redone for the union.
+  Cluster cluster(p.part, CommParams{});
+  ResilientStationary solver(cluster, p.a, p.dist, opts);
+  DistVector x(p.part);
+  FailureSchedule schedule;
+  schedule.add({5, {2, 3}, false});
+  schedule.add({5, {4}, true});
+  const auto res = solver.solve(p.b, x, schedule);
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.recoveries.size(), 1u);
+  EXPECT_EQ(res.recoveries[0].nodes.size(), 3u);
+  EXPECT_EQ(x.gather_global(), x_simultaneous);
+  EXPECT_GT(res.sim_time_phase[static_cast<int>(Phase::kRecovery)],
+            t_simultaneous);
+}
+
 TEST(Stationary, OptionValidation) {
   Problem p;
   Cluster cluster(p.part, CommParams{});

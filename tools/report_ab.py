@@ -4,7 +4,8 @@
 usage: report_ab.py BASE_CLI CHANGE_CLI [--keep DIR]
 
 Runs every registered solver key (plus the recovery methods, overlapping
-"during-recovery" scenarios and depth-2 pipelining) through `rpcg-cli solve`
+"during-recovery" scenarios, and depth-2 pipelining of both pipelined CG
+and pipelined CR, whose chain adds the zeta/xi rungs) through `rpcg-cli solve`
 with both binaries and compares the two rpcg-solve-report documents field by
 field. Only `wall_seconds` (host time) is ignored; a field missing on one
 side counts as a difference. A run that fails compares its exit code and
@@ -73,6 +74,11 @@ CASES = [
     ("pipelined-cr", ["--solver", "pipelined-cr"]),
     ("pipelined-resilient-cr",
      ["--solver", "pipelined-resilient-cr", "--phi", "2"] + FAILURES),
+    ("pipelined-resilient-cr-during-recovery",
+     ["--solver", "pipelined-resilient-cr", "--phi", "3"] + DURING_RECOVERY),
+    ("pipelined-resilient-cr-d2",
+     ["--solver", "pipelined-resilient-cr", "--phi", "2",
+      "--pipeline-depth", "2"] + FAILURES),
     ("resilient-bicgstab", ["--solver", "resilient-bicgstab", "--phi", "2"]
      + FAILURES),
     ("resilient-bicgstab-during-recovery",
